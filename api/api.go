@@ -70,10 +70,21 @@ type RunRequest struct {
 	// Streams runs several kernels co-resident on one SM (multi-tenant
 	// concurrent-kernel execution) instead of a single kernel. Mutually
 	// exclusive with Kernel/BF/RegsPerThread/Seed; a single-entry list
-	// is canonically collapsed to the equivalent plain request, so both
-	// spellings share one cache key. AllocTotalKB/FermiTotalKB then
-	// partition jointly for the whole mix.
+	// is the same run as the plain request, so both spellings share one
+	// cache key and response. AllocTotalKB/FermiTotalKB then partition
+	// jointly for the whole mix.
 	Streams []StreamRequest `json:"streams,omitempty"`
+}
+
+// StreamList returns the request's co-resident kernels: Streams, or the
+// plain Kernel/BF/RegsPerThread/Seed fields as a one-entry list (the
+// same run). Rejecting a request that mixes both spellings is the
+// caller's job.
+func (r RunRequest) StreamList() []StreamRequest {
+	if len(r.Streams) > 0 {
+		return r.Streams
+	}
+	return []StreamRequest{{Kernel: r.Kernel, BF: r.BF, RegsPerThread: r.RegsPerThread, Seed: r.Seed}}
 }
 
 // StreamRequest is one co-resident kernel (stream) of a multi-tenant

@@ -78,8 +78,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "smprof: -kernel is required (try -list)")
 		os.Exit(2)
 	}
-	// One requirements slice covers both forms: the multi allocators
-	// delegate to the single-kernel ones for a one-entry mix.
+	// One requirements slice covers both forms: a plain kernel is a
+	// one-entry mix.
 	names := streamNames
 	if len(names) == 0 {
 		names = []string{*kernelName}
@@ -106,13 +106,13 @@ func main() {
 			MaxThreads:  *threads,
 		}
 	case "unified":
-		cfg, err = config.AllocateMulti(reqs, *totalKB<<10, *threads)
+		cfg, err = config.Allocate(*totalKB<<10, *threads, reqs...)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "smprof:", err)
 			os.Exit(1)
 		}
 	case "fermi":
-		cfg = config.ChooseFermiMulti(reqs, *totalKB<<10-config.BaselineRFBytes, *threads)
+		cfg = config.ChooseFermi(*totalKB<<10-config.BaselineRFBytes, *threads, reqs...)
 	default:
 		fmt.Fprintf(os.Stderr, "smprof: unknown design %q\n", *design)
 		os.Exit(2)

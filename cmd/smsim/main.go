@@ -124,67 +124,28 @@ func main() {
 		}, params, *resident)
 		return
 	}
-	if *streams != "" {
-		kernels, err := parseStreams(*streams)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smsim:", err)
-			os.Exit(2)
-		}
-		reqs := make([]config.KernelRequirements, len(kernels))
-		for i, k := range kernels {
-			reqs[i] = k.Requirements()
-		}
-		r := core.NewRunner()
-		r.Params.Scheduler = policy
-		var cfg config.MemConfig
-		if *machineFile != "" {
-			mcfg, params, eparams, err := machine.Load(*machineFile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "smsim:", err)
-				os.Exit(1)
-			}
-			cfg = mcfg
-			r.Params = params
-			if *schedName != "" {
-				r.Params.Scheduler = policy
-			}
-			r.Energy.P = eparams
-		} else {
-			switch *design {
-			case "partitioned":
-				cfg = config.MemConfig{
-					Design:      config.Partitioned,
-					RFBytes:     *rfKB << 10,
-					SharedBytes: *shmKB << 10,
-					CacheBytes:  *cacheKB << 10,
-					MaxThreads:  *threads,
-				}
-			case "unified":
-				cfg, err = config.AllocateMulti(reqs, *totalKB<<10, *threads)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "smsim:", err)
-					os.Exit(1)
-				}
-			case "fermi":
-				cfg = config.ChooseFermiMulti(reqs, *totalKB<<10-config.BaselineRFBytes, *threads)
-			default:
-				fmt.Fprintf(os.Stderr, "smsim: unknown design %q\n", *design)
-				os.Exit(2)
-			}
-		}
-		runStreamsAndReport(r, kernels, cfg)
-		return
+	var kernels []*workloads.Kernel
+	switch {
+	case *streams != "":
+		kernels, err = parseStreams(*streams)
+	case *kernelName == "":
+		err = errors.New("-kernel is required (try -list)")
+	default:
+		var k *workloads.Kernel
+		k, err = workloads.ByName(*kernelName)
+		kernels = []*workloads.Kernel{k}
 	}
-	if *kernelName == "" {
-		fmt.Fprintln(os.Stderr, "smsim: -kernel is required (try -list)")
-		os.Exit(2)
-	}
-	k, err := workloads.ByName(*kernelName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "smsim:", err)
 		os.Exit(2)
 	}
+	reqs := make([]config.KernelRequirements, len(kernels))
+	for i, k := range kernels {
+		reqs[i] = k.Requirements()
+	}
 
+	r := core.NewRunner()
+	r.Params.Scheduler = policy
 	var cfg config.MemConfig
 	if *machineFile != "" {
 		mcfg, params, eparams, err := machine.Load(*machineFile)
@@ -192,40 +153,40 @@ func main() {
 			fmt.Fprintln(os.Stderr, "smsim:", err)
 			os.Exit(1)
 		}
-		r := core.NewRunner()
+		cfg = mcfg
 		r.Params = params
 		if *schedName != "" {
 			r.Params.Scheduler = policy // the flag overrides the machine file
 		}
 		r.Energy.P = eparams
-		runAndReport(r, k, mcfg, *regs)
-		return
-	}
-	switch *design {
-	case "partitioned":
-		cfg = config.MemConfig{
-			Design:      config.Partitioned,
-			RFBytes:     *rfKB << 10,
-			SharedBytes: *shmKB << 10,
-			CacheBytes:  *cacheKB << 10,
-			MaxThreads:  *threads,
+	} else {
+		switch *design {
+		case "partitioned":
+			cfg = config.MemConfig{
+				Design:      config.Partitioned,
+				RFBytes:     *rfKB << 10,
+				SharedBytes: *shmKB << 10,
+				CacheBytes:  *cacheKB << 10,
+				MaxThreads:  *threads,
+			}
+		case "unified":
+			cfg, err = config.Allocate(*totalKB<<10, *threads, reqs...)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "smsim:", err)
+				os.Exit(1)
+			}
+		case "fermi":
+			cfg = config.ChooseFermi(*totalKB<<10-config.BaselineRFBytes, *threads, reqs...)
+		default:
+			fmt.Fprintf(os.Stderr, "smsim: unknown design %q\n", *design)
+			os.Exit(2)
 		}
-	case "unified":
-		cfg, err = config.Allocate(k.Requirements(), *totalKB<<10, *threads)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smsim:", err)
-			os.Exit(1)
-		}
-	case "fermi":
-		cfg = config.ChooseFermi(k.Requirements(), *totalKB<<10-config.BaselineRFBytes, *threads)
-	default:
-		fmt.Fprintf(os.Stderr, "smsim: unknown design %q\n", *design)
-		os.Exit(2)
 	}
-
-	r := core.NewRunner()
-	r.Params.Scheduler = policy
-	runAndReport(r, k, cfg, *regs)
+	if len(kernels) > 1 {
+		runStreamsAndReport(r, kernels, cfg)
+	} else {
+		runAndReport(r, kernels[0], cfg, *regs)
+	}
 }
 
 // parseStreams resolves a "+"-joined kernel list ("needle+matrixmul")

@@ -33,7 +33,7 @@ func main() {
 	// 2. The same 384 KB of SRAM as a unified memory, split per kernel:
 	// the compiler reports registers/thread, the programmer shared
 	// memory/CTA, the scheduler maximizes threads, and the rest is cache.
-	unifiedCfg, err := config.Allocate(kernel.Requirements(), config.BaselineTotalBytes, 0)
+	unifiedCfg, err := config.Allocate(config.BaselineTotalBytes, 0, kernel.Requirements())
 	if err != nil {
 		log.Fatal(err)
 	}

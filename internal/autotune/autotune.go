@@ -98,7 +98,7 @@ func Tune(r *core.Runner, k *workloads.Kernel, totalBytes int, obj Objective) (*
 		for _, regs := range regOptions {
 			req := k.Requirements()
 			req.RegsPerThread = regs
-			cfg, err := config.Allocate(req, totalBytes, threads)
+			cfg, err := config.Allocate(totalBytes, threads, req)
 			if errors.Is(err, config.ErrDoesNotFit) {
 				continue // this point does not fit; skip it
 			}

@@ -111,7 +111,7 @@ func resolveConfig(reqs []config.KernelRequirements, rr api.RunRequest) (config.
 		return cfg, params, eparams, fmt.Errorf("at most one of alloc_total_kb and fermi_total_kb")
 	}
 	if rr.AllocTotalKB > 0 {
-		cfg, err = config.AllocateMulti(reqs, rr.AllocTotalKB<<10, rr.Machine.MaxThreads)
+		cfg, err = config.Allocate(rr.AllocTotalKB<<10, rr.Machine.MaxThreads, reqs...)
 		if err != nil {
 			return cfg, params, eparams, err
 		}
@@ -121,7 +121,7 @@ func resolveConfig(reqs []config.KernelRequirements, rr api.RunRequest) (config.
 			return cfg, params, eparams, fmt.Errorf(
 				"fermi_total_kb must exceed the fixed %dKB register file", fermiRFBytes>>10)
 		}
-		cfg = config.ChooseFermiMulti(reqs, rr.FermiTotalKB<<10-fermiRFBytes, rr.Machine.MaxThreads)
+		cfg = config.ChooseFermi(rr.FermiTotalKB<<10-fermiRFBytes, rr.Machine.MaxThreads, reqs...)
 	}
 	return cfg, params, eparams, nil
 }
@@ -148,26 +148,17 @@ func (c *Campaign) Execute() (*Result, error) {
 		rr := c.Runs[i]
 		label := c.Workloads[i%len(c.Workloads)].Label
 		machineName := c.Spec.Machines[i/len(c.Workloads)].Name
-		spec := core.RunSpec{RegsPerThread: rr.RegsPerThread, Seed: rr.Seed}
+		var spec core.RunSpec
 		var reqs []config.KernelRequirements
-		if len(rr.Streams) > 0 {
-			for _, sr := range rr.Streams {
-				k, err := kernelFor(sr.Kernel, sr.BF)
-				if err != nil {
-					return Outcome{}, err
-				}
-				spec.Streams = append(spec.Streams, core.StreamSpec{
-					Kernel: k, RegsPerThread: sr.RegsPerThread, Seed: sr.Seed,
-				})
-				reqs = append(reqs, k.Requirements())
-			}
-		} else {
-			k, err := kernelFor(rr.Kernel, rr.BF)
+		for _, sr := range rr.StreamList() {
+			k, err := kernelFor(sr.Kernel, sr.BF)
 			if err != nil {
 				return Outcome{}, err
 			}
-			spec.Kernel = k
-			reqs = []config.KernelRequirements{k.Requirements()}
+			spec.Streams = append(spec.Streams, core.StreamSpec{
+				Kernel: k, RegsPerThread: sr.RegsPerThread, Seed: sr.Seed,
+			})
+			reqs = append(reqs, k.Requirements())
 		}
 		cfg, params, eparams, err := resolveConfig(reqs, rr)
 		if err != nil {

@@ -56,8 +56,8 @@ type Result struct {
 	DRAMReadBytes, DRAMWriteBytes int64
 	// OutOfOrder is the shared system's timestamp-ordering diagnostic.
 	OutOfOrder int64
-	// PerSMKernel names each SM's kernel on concurrent-kernel chips
-	// (NewMulti); nil for single-kernel chips.
+	// PerSMKernel names each SM's kernel (MultiKernel.Name; empty for
+	// the unnamed kernel of New).
 	PerSMKernel []string
 }
 
@@ -84,45 +84,19 @@ type Chip struct {
 	cfg Config
 	sms []*sm.SM
 	mem *dram.System
-	// names labels each SM's kernel on concurrent-kernel chips
-	// (NewMulti); nil for single-kernel chips.
+	// names labels each SM's kernel.
 	names []string
 }
 
-// New builds a chip running the grid of src under memCfg on every SM.
-// The grid is dealt round-robin: SM i executes CTAs i, i+N, i+2N, ...
-// residentCTAs is the per-SM CTA residency (from internal/occupancy).
+// New builds a chip running the grid of src under memCfg on every SM:
+// the one-kernel case of NewMulti. The grid is dealt round-robin: SM i
+// executes CTAs i, i+N, i+2N, ... residentCTAs is the per-SM CTA
+// residency (from internal/occupancy).
 func New(cfg Config, memCfg config.MemConfig, params sm.Params, src TraceSource, residentCTAs int) (*Chip, error) {
-	if cfg.NumSMs < 1 {
-		return nil, fmt.Errorf("chip: need at least one SM")
-	}
-	if cfg.Mem.Channels == 0 {
-		cfg.Mem = dram.DefaultSystemConfig(cfg.NumSMs)
-	}
-	totalCTAs, warps := src.Grid()
-	if totalCTAs < cfg.NumSMs {
-		return nil, fmt.Errorf("chip: grid of %d CTAs cannot feed %d SMs", totalCTAs, cfg.NumSMs)
-	}
-	c := &Chip{cfg: cfg, mem: dram.NewSystem(cfg.Mem)}
-	for i := 0; i < cfg.NumSMs; i++ {
-		share := totalCTAs / cfg.NumSMs
-		if i < totalCTAs%cfg.NumSMs {
-			share++
-		}
-		shard := &shardSource{src: src, smIndex: i, nSM: cfg.NumSMs, ctas: share, warps: warps}
-		m, err := sm.NewSM(sm.Spec{
-			Config: memCfg, Params: params, Source: shard,
-			ResidentCTAs: residentCTAs, Memory: c.mem,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("chip: SM %d: %w", i, err)
-		}
-		c.sms = append(c.sms, m)
-	}
-	return c, nil
+	return NewMulti(cfg, memCfg, params, []MultiKernel{{Source: src, ResidentCTAs: residentCTAs}})
 }
 
-// MultiKernel is one kernel of a chip-level concurrent-kernel run.
+// MultiKernel is one kernel of a chip run.
 type MultiKernel struct {
 	// Name labels the kernel in results.
 	Name string
@@ -132,14 +106,17 @@ type MultiKernel struct {
 	ResidentCTAs int
 }
 
-// NewMulti builds a chip running several kernels concurrently by
+// NewMulti builds a chip running one or more kernels concurrently by
 // partitioning the SMs among them — the work distributor's
 // concurrent-kernel scheduling on real chips. Kernel j owns SMs j,
 // j+K, j+2K, ...; its grid is dealt round-robin across its own SM
-// subset exactly the way New deals a single grid across the whole
-// chip. All kernels share the channel-interleaved DRAM system, so
-// co-tenants contend in memory even though they never share an SM.
+// subset (with one kernel, across the whole chip). All kernels share
+// the channel-interleaved DRAM system, so co-tenants contend in memory
+// even though they never share an SM.
 func NewMulti(cfg Config, memCfg config.MemConfig, params sm.Params, kernels []MultiKernel) (*Chip, error) {
+	if cfg.NumSMs < 1 {
+		return nil, fmt.Errorf("chip: need at least one SM")
+	}
 	if len(kernels) == 0 {
 		return nil, fmt.Errorf("chip: need at least one kernel")
 	}
@@ -153,6 +130,10 @@ func NewMulti(cfg Config, memCfg config.MemConfig, params sm.Params, kernels []M
 	k := len(kernels)
 	for i := 0; i < cfg.NumSMs; i++ {
 		mk := kernels[i%k]
+		label := mk.Name
+		if label == "" {
+			label = "kernel"
+		}
 		// This SM is member m of its kernel's subset of size n.
 		m, n := i/k, cfg.NumSMs/k
 		if i%k < cfg.NumSMs%k {
@@ -160,7 +141,7 @@ func NewMulti(cfg Config, memCfg config.MemConfig, params sm.Params, kernels []M
 		}
 		totalCTAs, warps := mk.Source.Grid()
 		if totalCTAs < n {
-			return nil, fmt.Errorf("chip: %s grid of %d CTAs cannot feed its %d SMs", mk.Name, totalCTAs, n)
+			return nil, fmt.Errorf("chip: %s grid of %d CTAs cannot feed its %d SMs", label, totalCTAs, n)
 		}
 		share := totalCTAs / n
 		if m < totalCTAs%n {
@@ -172,7 +153,7 @@ func NewMulti(cfg Config, memCfg config.MemConfig, params sm.Params, kernels []M
 			ResidentCTAs: mk.ResidentCTAs, Memory: c.mem,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("chip: SM %d (%s): %w", i, mk.Name, err)
+			return nil, fmt.Errorf("chip: SM %d (%s): %w", i, label, err)
 		}
 		c.sms = append(c.sms, machine)
 		c.names = append(c.names, mk.Name)

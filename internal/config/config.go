@@ -180,46 +180,55 @@ func (k KernelRequirements) SharedBytesPerThread() float64 {
 	return float64(k.SharedBytesPerCTA) / float64(k.ThreadsPerCTA)
 }
 
-// Allocate implements the Section 4.5 automatic partitioning for a unified
-// memory of totalBytes:
+// Allocate implements the Section 4.5 automatic partitioning of a
+// unified memory of totalBytes among one or more co-resident kernels:
 //
 //  1. the compiler supplies registers per thread to avoid spills,
 //  2. the programmer supplies shared memory per CTA,
-//  3. the scheduler maximizes resident threads (CTA granular) under the
-//     capacity, and
+//  3. the scheduler maximizes resident threads (CTA granular, admitted
+//     round-robin across kernels by Admit) under the capacity, and
 //  4. all remaining storage becomes primary data cache.
 //
-// threadCap, if non-zero, limits resident threads below the architectural
-// maximum (used for autotuned thread counts).
-func Allocate(req KernelRequirements, totalBytes, threadCap int) (MemConfig, error) {
-	if req.ThreadsPerCTA <= 0 {
-		return MemConfig{}, errors.New("config: ThreadsPerCTA must be positive")
+// threadCap, if non-zero, limits joint resident threads below the
+// architectural maximum (used for autotuned thread counts). Every kernel
+// must admit at least one CTA alongside its co-tenants; otherwise
+// Allocate fails with ErrDoesNotFit.
+func Allocate(totalBytes, threadCap int, reqs ...KernelRequirements) (MemConfig, error) {
+	if len(reqs) == 0 {
+		return MemConfig{}, errors.New("config: no kernels to allocate for")
 	}
-	if req.ThreadsPerCTA%32 != 0 {
-		return MemConfig{}, fmt.Errorf("config: ThreadsPerCTA %d not a multiple of the warp size", req.ThreadsPerCTA)
+	for i, req := range reqs {
+		if req.ThreadsPerCTA <= 0 {
+			return MemConfig{}, fmt.Errorf("config: %sThreadsPerCTA must be positive", kernelPrefix(i, len(reqs)))
+		}
+		if req.ThreadsPerCTA%32 != 0 {
+			return MemConfig{}, fmt.Errorf("config: %sThreadsPerCTA %d not a multiple of the warp size",
+				kernelPrefix(i, len(reqs)), req.ThreadsPerCTA)
+		}
 	}
 	limit := MaxThreadsPerSM
 	if threadCap > 0 && threadCap < limit {
 		limit = threadCap
 	}
-	perCTABytes := req.BytesPerThread()*req.ThreadsPerCTA + req.SharedBytesPerCTA
-	if perCTABytes > totalBytes {
-		return MemConfig{}, fmt.Errorf("config: one CTA needs %d bytes, unified memory has %d: %w",
-			perCTABytes, totalBytes, ErrDoesNotFit)
-	}
-	maxCTAs := limit / req.ThreadsPerCTA
-	if maxCTAs < 1 {
-		return MemConfig{}, fmt.Errorf("config: CTA size %d exceeds thread limit %d: %w",
-			req.ThreadsPerCTA, limit, ErrDoesNotFit)
-	}
-	if byCapacity := totalBytes / perCTABytes; byCapacity < maxCTAs {
-		maxCTAs = byCapacity
-	}
-	cfg := MemConfig{
-		Design:      Unified,
-		RFBytes:     maxCTAs * req.ThreadsPerCTA * req.BytesPerThread(),
-		SharedBytes: maxCTAs * req.SharedBytesPerCTA,
-		MaxThreads:  maxCTAs * req.ThreadsPerCTA,
+	ctas, _ := Admit(reqs, Capacity{Threads: limit, RFBytes: totalBytes, SharedBytes: totalBytes, PoolBytes: totalBytes})
+	cfg := MemConfig{Design: Unified}
+	for i, req := range reqs {
+		perCTABytes := req.BytesPerThread()*req.ThreadsPerCTA + req.SharedBytesPerCTA
+		switch {
+		case ctas[i] > 0:
+		case len(reqs) > 1:
+			return MemConfig{}, fmt.Errorf("config: stream %d does not fit alongside its co-tenants in %d bytes: %w",
+				i, totalBytes, ErrDoesNotFit)
+		case perCTABytes > totalBytes:
+			return MemConfig{}, fmt.Errorf("config: one CTA needs %d bytes, unified memory has %d: %w",
+				perCTABytes, totalBytes, ErrDoesNotFit)
+		default:
+			return MemConfig{}, fmt.Errorf("config: CTA size %d exceeds thread limit %d: %w",
+				req.ThreadsPerCTA, limit, ErrDoesNotFit)
+		}
+		cfg.RFBytes += ctas[i] * req.ThreadsPerCTA * req.BytesPerThread()
+		cfg.SharedBytes += ctas[i] * req.SharedBytesPerCTA
+		cfg.MaxThreads += ctas[i] * req.ThreadsPerCTA
 	}
 	cfg.CacheBytes = totalBytes - cfg.RFBytes - cfg.SharedBytes
 	// Round the cache down to a whole number of sets so the tag array is
@@ -227,6 +236,15 @@ func Allocate(req KernelRequirements, totalBytes, threadCap int) (MemConfig, err
 	// one bank's granularity and does not affect the model).
 	cfg.CacheBytes -= cfg.CacheBytes % (CacheLineBytes * CacheWays)
 	return cfg, nil
+}
+
+// kernelPrefix names kernel i in a requirement error, but only when
+// several kernels share the allocation.
+func kernelPrefix(i, n int) string {
+	if n == 1 {
+		return ""
+	}
+	return fmt.Sprintf("stream %d: ", i)
 }
 
 // FermiSplits returns the two shared/cache splits offered by the Fermi-like
@@ -241,41 +259,102 @@ func FermiSplits(nonRFBytes int) [2]MemConfig {
 	}
 }
 
-// ChooseFermi picks the better of the two Fermi-like splits for a kernel:
-// the split whose shared memory fits the kernel's footprint at the highest
-// thread count, breaking ties toward the larger cache.
-func ChooseFermi(req KernelRequirements, nonRFBytes, threadCap int) MemConfig {
+// ChooseFermi picks the better of the two Fermi-like splits for one or
+// more co-resident kernels: the split that admits the most joint
+// resident threads (Admit under the split's fixed register-file and
+// shared-memory capacities), breaking ties toward the larger cache.
+func ChooseFermi(nonRFBytes, threadCap int, reqs ...KernelRequirements) MemConfig {
 	splits := FermiSplits(nonRFBytes)
-	best := splits[1] // prefer large cache when shared memory is no constraint
-	if req.SharedBytesPerCTA > 0 {
-		t0 := residentThreads(req, splits[0], threadCap)
-		t1 := residentThreads(req, splits[1], threadCap)
-		if t0 > t1 {
-			best = splits[0]
-		}
+	best := splits[1] // prefer the larger cache on ties
+	if residentThreads(reqs, splits[0], threadCap) > residentThreads(reqs, splits[1], threadCap) {
+		best = splits[0]
 	}
 	best.MaxThreads = threadCap
 	return best
 }
 
-// residentThreads computes CTA-granular thread residency for a kernel under
-// a configuration (shared by ChooseFermi and internal/occupancy; the full
-// treatment with diagnostics lives in internal/occupancy).
-func residentThreads(req KernelRequirements, cfg MemConfig, threadCap int) int {
+// residentThreads counts the joint resident threads Admit grants the
+// kernels under a fixed configuration.
+func residentThreads(reqs []KernelRequirements, cfg MemConfig, threadCap int) int {
 	limit := cfg.ThreadLimit()
 	if threadCap > 0 && threadCap < limit {
 		limit = threadCap
 	}
-	ctas := limit / req.ThreadsPerCTA
-	if req.SharedBytesPerCTA > 0 {
-		if byShmem := cfg.SharedBytes / req.SharedBytesPerCTA; byShmem < ctas {
-			ctas = byShmem
+	ctas, _ := Admit(reqs, Capacity{Threads: limit, RFBytes: cfg.RFBytes, SharedBytes: cfg.SharedBytes})
+	threads := 0
+	for i, req := range reqs {
+		threads += ctas[i] * req.ThreadsPerCTA
+	}
+	return threads
+}
+
+// Capacity is the budget Admit fills. Threads bounds joint resident
+// threads; RFBytes and SharedBytes bound the joint register-file and
+// shared-memory footprints; PoolBytes, when positive, also bounds their
+// sum (the unified design, where both draw from one pool).
+type Capacity struct {
+	Threads, RFBytes, SharedBytes, PoolBytes int
+}
+
+// Budget names the Capacity budget that refused a kernel's next CTA.
+type Budget uint8
+
+const (
+	// BudgetThreads: the joint thread limit.
+	BudgetThreads Budget = iota
+	// BudgetRegisters: the register-file capacity.
+	BudgetRegisters
+	// BudgetShared: the shared-memory capacity.
+	BudgetShared
+	// BudgetPool: the unified pool both draw from.
+	BudgetPool
+)
+
+// Admit is the one CTA admission rule of the simulator, for a single
+// kernel and for co-resident mixes alike. CTAs are admitted greedily
+// round-robin: each round offers every kernel, in index order, one more
+// CTA, admitted only if every budget of c still holds (tested in Budget
+// order). Footprints only grow, so a kernel refused once is blocked for
+// good, and admission ends when every kernel is blocked. The order
+// matches the dispatcher's CTA-slot interleave, so slot layout follows
+// directly from the result.
+//
+// Admit returns each kernel's admitted CTAs and the budget that refused
+// its next one. A kernel with a non-positive CTA size admits nothing.
+func Admit(reqs []KernelRequirements, c Capacity) (ctas []int, refused []Budget) {
+	ctas = make([]int, len(reqs))
+	refused = make([]Budget, len(reqs))
+	blocked := make([]bool, len(reqs))
+	threads, rf, shared := 0, 0, 0
+	for i, req := range reqs {
+		blocked[i] = req.ThreadsPerCTA <= 0
+	}
+	for progress := true; progress; {
+		progress = false
+		for i, req := range reqs {
+			if blocked[i] {
+				continue
+			}
+			rfPerCTA := req.BytesPerThread() * req.ThreadsPerCTA
+			switch {
+			case threads+req.ThreadsPerCTA > c.Threads:
+				refused[i] = BudgetThreads
+			case rf+rfPerCTA > c.RFBytes:
+				refused[i] = BudgetRegisters
+			case shared+req.SharedBytesPerCTA > c.SharedBytes:
+				refused[i] = BudgetShared
+			case c.PoolBytes > 0 && rf+rfPerCTA+shared+req.SharedBytesPerCTA > c.PoolBytes:
+				refused[i] = BudgetPool
+			default:
+				ctas[i]++
+				threads += req.ThreadsPerCTA
+				rf += rfPerCTA
+				shared += req.SharedBytesPerCTA
+				progress = true
+				continue
+			}
+			blocked[i] = true
 		}
 	}
-	if rfPerCTA := req.BytesPerThread() * req.ThreadsPerCTA; rfPerCTA > 0 {
-		if byRF := cfg.RFBytes / rfPerCTA; byRF < ctas {
-			ctas = byRF
-		}
-	}
-	return ctas * req.ThreadsPerCTA
+	return ctas, refused
 }

@@ -80,7 +80,7 @@ func TestAllocateDGEMMLike(t *testing.T) {
 		SharedBytesPerCTA: 66*1024 + 512, // 66.5 KB for 4 CTAs -> 16.625 KB per CTA
 	}
 	req.SharedBytesPerCTA = req.SharedBytesPerCTA / 4
-	cfg, err := Allocate(req, BaselineTotalBytes, 0)
+	cfg, err := Allocate(BaselineTotalBytes, 0, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestAllocateNeedleLike(t *testing.T) {
 		ThreadsPerCTA:     64,
 		SharedBytesPerCTA: 16 * 1024, // ~264 B/thread
 	}
-	cfg, err := Allocate(req, BaselineTotalBytes, 0)
+	cfg, err := Allocate(BaselineTotalBytes, 0, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,20 +124,20 @@ func TestAllocateNeedleLike(t *testing.T) {
 
 func TestAllocateRejectsImpossible(t *testing.T) {
 	req := KernelRequirements{RegsPerThread: 64, ThreadsPerCTA: 1024, SharedBytesPerCTA: 600 << 10}
-	if _, err := Allocate(req, BaselineTotalBytes, 0); err == nil {
+	if _, err := Allocate(BaselineTotalBytes, 0, req); err == nil {
 		t.Error("Allocate() accepted a CTA larger than the unified memory")
 	}
-	if _, err := Allocate(KernelRequirements{RegsPerThread: 8, ThreadsPerCTA: 0}, BaselineTotalBytes, 0); err == nil {
+	if _, err := Allocate(BaselineTotalBytes, 0, KernelRequirements{RegsPerThread: 8, ThreadsPerCTA: 0}); err == nil {
 		t.Error("Allocate() accepted zero ThreadsPerCTA")
 	}
-	if _, err := Allocate(KernelRequirements{RegsPerThread: 8, ThreadsPerCTA: 33}, BaselineTotalBytes, 0); err == nil {
+	if _, err := Allocate(BaselineTotalBytes, 0, KernelRequirements{RegsPerThread: 8, ThreadsPerCTA: 33}); err == nil {
 		t.Error("Allocate() accepted non-warp-multiple CTA")
 	}
 }
 
 func TestAllocateRespectsThreadCap(t *testing.T) {
 	req := KernelRequirements{RegsPerThread: 9, ThreadsPerCTA: 256}
-	cfg, err := Allocate(req, BaselineTotalBytes, 512)
+	cfg, err := Allocate(BaselineTotalBytes, 512, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestAllocateNeverOverflows(t *testing.T) {
 			ThreadsPerCTA:     32 * (1 + int(ctaWarps)%8),
 			SharedBytesPerCTA: int(shmKB) % 48 << 10,
 		}
-		cfg, err := Allocate(req, BaselineTotalBytes, 0)
+		cfg, err := Allocate(BaselineTotalBytes, 0, req)
 		if err != nil {
 			// Infeasible combinations are allowed to error.
 			return true
@@ -188,7 +188,7 @@ func TestFermiSplits(t *testing.T) {
 
 func TestChooseFermiPrefersCacheWhenNoShared(t *testing.T) {
 	req := KernelRequirements{RegsPerThread: 9, ThreadsPerCTA: 256}
-	cfg := ChooseFermi(req, 128<<10, 0)
+	cfg := ChooseFermi(128<<10, 0, req)
 	if cfg.CacheBytes != 96<<10 {
 		t.Errorf("no-shared kernel should get the large cache, got %v", cfg)
 	}
@@ -198,7 +198,7 @@ func TestChooseFermiPrefersSharedWhenLimited(t *testing.T) {
 	// 24 KB/CTA of shared memory: the 32 KB split fits 1 CTA, the 96 KB
 	// split fits 4 CTAs -> choose large shared memory.
 	req := KernelRequirements{RegsPerThread: 16, ThreadsPerCTA: 256, SharedBytesPerCTA: 24 << 10}
-	cfg := ChooseFermi(req, 128<<10, 0)
+	cfg := ChooseFermi(128<<10, 0, req)
 	if cfg.SharedBytes != 96<<10 {
 		t.Errorf("shared-hungry kernel should get the large shared memory, got %v", cfg)
 	}

@@ -15,7 +15,7 @@ func ExampleAllocate() {
 		SharedBytesPerCTA: 17024, // programmer: scratchpad per CTA
 		ThreadsPerCTA:     256,
 	}
-	cfg, err := config.Allocate(req, config.BaselineTotalBytes, 0)
+	cfg, err := config.Allocate(config.BaselineTotalBytes, 0, req)
 	if err != nil {
 		panic(err)
 	}
@@ -31,8 +31,8 @@ func ExampleAllocate() {
 func ExampleChooseFermi() {
 	needsShared := config.KernelRequirements{RegsPerThread: 16, ThreadsPerCTA: 256, SharedBytesPerCTA: 24 << 10}
 	needsCache := config.KernelRequirements{RegsPerThread: 16, ThreadsPerCTA: 256}
-	fmt.Println(config.ChooseFermi(needsShared, 128<<10, 0))
-	fmt.Println(config.ChooseFermi(needsCache, 128<<10, 0))
+	fmt.Println(config.ChooseFermi(128<<10, 0, needsShared))
+	fmt.Println(config.ChooseFermi(128<<10, 0, needsCache))
 	// Output:
 	// fermi-like rf=256K shm=96K $=32K
 	// fermi-like rf=256K shm=32K $=96K

@@ -64,7 +64,7 @@ func TestRunCtxBaselineSurvivesCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRunner()
-	cfg, err := config.Allocate(k.Requirements(), 384<<10, 0)
+	cfg, err := config.Allocate(384<<10, 0, k.Requirements())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,9 +47,12 @@ import (
 	"repro/internal/workloads"
 )
 
-// RunSpec describes one simulation run.
+// RunSpec describes one simulation run: one or more kernels (streams)
+// co-resident on one SM. Kernel/RegsPerThread/Seed spell the common
+// one-stream run; Streams spells any number, and a one-entry Streams
+// list is the same run as the plain spelling.
 type RunSpec struct {
-	// Kernel is the workload to execute.
+	// Kernel is the workload of a one-stream run.
 	Kernel *workloads.Kernel
 	// Config is the local-memory configuration.
 	Config config.MemConfig
@@ -59,7 +62,7 @@ type RunSpec struct {
 	RegsPerThread int
 	// Seed perturbs per-warp random streams (divergent gathers).
 	Seed uint64
-	// Streams runs several kernels co-resident on one SM (multi-tenant
+	// Streams lists the co-resident kernels (multi-tenant
 	// concurrent-kernel execution) with round-robin CTA-slot
 	// interleaving and per-stream counter attribution. Mutually
 	// exclusive with Kernel/RegsPerThread/Seed; see streams.go.
@@ -70,14 +73,16 @@ type RunSpec struct {
 type Result struct {
 	// Spec echoes the run parameters.
 	Spec RunSpec
-	// Occupancy is the CTA residency the configuration admitted.
+	// Occupancy is the CTA residency the configuration admitted: the
+	// sum over streams, with the first stream's Limiter.
 	Occupancy occupancy.Result
-	// Counters are the raw simulation event counts.
+	// Counters are the raw simulation event counts, aggregated over
+	// streams.
 	Counters *stats.Counters
 	// Energy is the Section 5.2 energy breakdown.
 	Energy energy.Breakdown
-	// Streams holds per-stream results for multi-tenant runs
-	// (RunSpec.Streams), in stream order; nil for single-kernel runs.
+	// Streams holds the per-stream results in stream order (one entry
+	// for a one-stream run).
 	Streams []StreamResult
 }
 
@@ -175,33 +180,34 @@ func (r *Runner) Run(spec RunSpec, opts ...RunOption) (*Result, error) {
 // result is cached process-wide and must never memoize a caller's
 // cancellation; and a completed RunCtx returns counters identical to
 // Run's — the context only decides whether the run finishes.
+//
+// Sampling (WithSample) needs a one-stream run: per-stream attribution
+// of a mix needs exact runs.
 func (r *Runner) RunCtx(ctx context.Context, spec RunSpec, opts ...RunOption) (*Result, error) {
 	var o runOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if len(spec.Streams) > 0 {
-		return r.runStreams(ctx, spec, &o)
-	}
-	spec, occ, src, err := r.prepare(spec)
+	p, err := r.prepare(spec)
 	if err != nil {
 		return nil, err
 	}
-	if o.probe != nil {
-		o.probe.Annotate("kernel", spec.Kernel.Name)
-		o.probe.Annotate("config", spec.Config.String())
-		o.probe.Annotate("regs", fmt.Sprint(resolvedRegs(spec)))
-		o.probe.Annotate("threads", fmt.Sprint(occ.Threads))
+	if o.sample.Enabled() && len(p.streams) > 1 {
+		return nil, fmt.Errorf("core: sampled mode does not support multi-tenant streams")
 	}
-	machine, err := sm.NewSM(sm.Spec{
-		Config:       spec.Config,
-		Params:       r.Params,
-		Source:       src,
-		ResidentCTAs: occ.CTAs,
-		Probe:        o.probe,
-	})
+	if o.probe != nil {
+		o.probe.Annotate("kernel", p.label())
+		o.probe.Annotate("config", p.spec.Config.String())
+		if len(p.streams) == 1 {
+			o.probe.Annotate("regs", fmt.Sprint(p.streams[0].RegsPerThread))
+			o.probe.Annotate("threads", fmt.Sprint(p.occs[0].Threads))
+		} else {
+			o.probe.Annotate("streams", fmt.Sprint(len(p.streams)))
+		}
+	}
+	machine, err := sm.NewSM(p.smSpec(r.Params, o.probe))
 	if err != nil {
-		return nil, fmt.Errorf("core: %s under %v: %w", spec.Kernel.Name, spec.Config, err)
+		return nil, fmt.Errorf("core: %s under %v: %w", p.label(), p.spec.Config, err)
 	}
 	var counters *stats.Counters
 	if o.sample.Enabled() {
@@ -210,56 +216,114 @@ func (r *Runner) RunCtx(ctx context.Context, spec RunSpec, opts ...RunOption) (*
 		counters, err = machine.RunContext(ctx)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: %s under %v: %w", spec.Kernel.Name, spec.Config, err)
+		return nil, fmt.Errorf("core: %s under %v: %w", p.label(), p.spec.Config, err)
 	}
-	return r.finishResult(spec, occ, counters)
+	return r.finish(p, counters, machine.StreamCounters())
 }
 
-// finishResult assembles a Result from completed-run counters,
-// attaching the calibrated energy breakdown. The snapshot/fork Resume
-// path shares it with RunCtx.
-func (r *Runner) finishResult(spec RunSpec, occ occupancy.Result, counters *stats.Counters) (*Result, error) {
-	res := &Result{Spec: spec, Occupancy: occ, Counters: counters}
-	other, err := r.calibratedOther(spec.Kernel, spec.Config, counters)
+// run is a RunSpec resolved to its simulation inputs. RunCtx and the
+// snapshot/fork Warm path share it, so a warmed prefix is built from
+// exactly the state a direct run would use.
+type run struct {
+	// spec is echoed in the Result (seed defaulted on the plain
+	// spelling).
+	spec RunSpec
+	// streams are the co-resident kernels with register budgets
+	// clamped and seeds defaulted.
+	streams []StreamSpec
+	// occs are each stream's share of the joint residency.
+	occs []occupancy.Result
+	// sources supply each stream's grid.
+	sources []*workloads.Source
+}
+
+// prepare resolves a RunSpec: the plain spelling becomes a one-stream
+// list, residency is admitted jointly (occupancy.ComputeShared, the
+// dispatcher's round-robin CTA-slot interleave), and every stream must
+// fit (*FitError otherwise).
+func (r *Runner) prepare(spec RunSpec) (*run, error) {
+	streams := spec.Streams
+	if len(streams) == 0 {
+		if spec.Kernel == nil {
+			return nil, ErrKernelNil
+		}
+		if spec.Seed == 0 {
+			spec.Seed = r.Seed
+		}
+		streams = []StreamSpec{{Kernel: spec.Kernel, RegsPerThread: spec.RegsPerThread, Seed: spec.Seed}}
+	} else if spec.Kernel != nil {
+		return nil, fmt.Errorf("core: RunSpec.Kernel and RunSpec.Streams are mutually exclusive")
+	}
+	p := &run{
+		spec:    spec,
+		streams: make([]StreamSpec, len(streams)),
+		sources: make([]*workloads.Source, len(streams)),
+	}
+	reqs := make([]config.KernelRequirements, len(streams))
+	regs := make([]int, len(streams))
+	for i, st := range streams {
+		if st.Kernel == nil {
+			return nil, fmt.Errorf("core: stream %d: %w", i, ErrKernelNil)
+		}
+		if st.Seed == 0 {
+			st.Seed = r.Seed
+		}
+		if st.RegsPerThread <= 0 || st.RegsPerThread > st.Kernel.RegsNeeded {
+			st.RegsPerThread = st.Kernel.RegsNeeded
+		}
+		p.streams[i] = st
+		reqs[i] = st.Kernel.Requirements()
+		regs[i] = st.RegsPerThread
+	}
+	p.occs = occupancy.ComputeShared(reqs, spec.Config, regs)
+	for i, st := range p.streams {
+		if p.occs[i].CTAs < 1 {
+			return nil, &FitError{Kernel: st.Kernel.Name, Config: spec.Config, Limiter: p.occs[i].Limiter}
+		}
+		regsAvail := 0
+		if st.RegsPerThread < st.Kernel.RegsNeeded {
+			regsAvail = st.RegsPerThread
+		}
+		p.sources[i] = &workloads.Source{K: st.Kernel, RegsAvail: regsAvail, Seed: st.Seed}
+	}
+	return p, nil
+}
+
+// label names the run: the "+"-joined stream kernel names.
+func (p *run) label() string { return StreamNames(p.streams) }
+
+// smSpec builds the SM spec that simulates the run under params.
+func (p *run) smSpec(params sm.Params, prof *probe.Probe) sm.Spec {
+	streams := make([]sm.StreamSpec, len(p.streams))
+	for i, st := range p.streams {
+		streams[i] = sm.StreamSpec{Name: st.Kernel.Name, Source: p.sources[i], ResidentCTAs: p.occs[i].CTAs}
+	}
+	return sm.Spec{Config: p.spec.Config, Params: params, Streams: streams, Probe: prof}
+}
+
+// finish assembles a Result from a completed run's aggregate and
+// per-stream counters, adding the joint occupancy and the calibrated
+// energy breakdown. RunCtx and the snapshot/fork Resume paths share it.
+func (r *Runner) finish(p *run, counters *stats.Counters, scs []stats.Counters) (*Result, error) {
+	res := &Result{Spec: p.spec, Counters: counters, Streams: make([]StreamResult, len(p.streams))}
+	for i, st := range p.streams {
+		occ := p.occs[i]
+		res.Streams[i] = StreamResult{Kernel: st.Kernel.Name, Occupancy: occ, Counters: scs[i]}
+		if i == 0 {
+			res.Occupancy.Limiter = occ.Limiter
+		}
+		res.Occupancy.CTAs += occ.CTAs
+		res.Occupancy.Threads += occ.Threads
+		res.Occupancy.Warps += occ.Warps
+		res.Occupancy.RFBytesUsed += occ.RFBytesUsed
+		res.Occupancy.SharedBytesUsed += occ.SharedBytesUsed
+	}
+	other, err := r.calibratedOther(p.streams, p.spec.Config, counters)
 	if err != nil {
 		return nil, err
 	}
-	res.Energy = r.Energy.Evaluate(spec.Config, counters, other)
+	res.Energy = r.Energy.Evaluate(p.spec.Config, counters, other)
 	return res, nil
-}
-
-// prepare resolves a RunSpec to its simulation inputs: defaulted seed,
-// computed occupancy (failing with *FitError when the kernel cannot
-// achieve residency), and the trace source with the resolved register
-// budget. RunCtx and the snapshot/fork Warm path share it so a warmed
-// prefix is built from exactly the state a direct run would use.
-func (r *Runner) prepare(spec RunSpec) (RunSpec, occupancy.Result, *workloads.Source, error) {
-	if spec.Kernel == nil {
-		return spec, occupancy.Result{}, nil, ErrKernelNil
-	}
-	if spec.Seed == 0 {
-		spec.Seed = r.Seed
-	}
-	regs := resolvedRegs(spec)
-	occ := occupancy.Compute(spec.Kernel.Requirements(), spec.Config, regs)
-	if occ.CTAs < 1 {
-		return spec, occ, nil, &FitError{Kernel: spec.Kernel.Name, Config: spec.Config, Limiter: occ.Limiter}
-	}
-	regsAvail := 0
-	if regs < spec.Kernel.RegsNeeded {
-		regsAvail = regs
-	}
-	src := &workloads.Source{K: spec.Kernel, RegsAvail: regsAvail, Seed: spec.Seed}
-	return spec, occ, src, nil
-}
-
-// resolvedRegs returns the effective per-thread register allocation.
-func resolvedRegs(spec RunSpec) int {
-	regs := spec.RegsPerThread
-	if regs <= 0 || regs > spec.Kernel.RegsNeeded {
-		regs = spec.Kernel.RegsNeeded
-	}
-	return regs
 }
 
 // Baseline returns (and caches) the kernel's run under the baseline
@@ -283,18 +347,20 @@ func (r *Runner) Baseline(k *workloads.Kernel) (*Result, error) {
 	return e.res, e.err
 }
 
-// calibratedOther returns the benchmark's constant non-bank SM dynamic
-// power (watts), calibrated on the baseline run (Section 5.2). A run under
-// the baseline configuration always self-calibrates on its own counters:
-// the simulator is deterministic, so those counters equal the cached
-// baseline's, and depending only on the spec (never on cache state) keeps
-// results identical whatever order concurrent runs complete in. It also
-// avoids re-entering Baseline from within the baseline run itself.
-func (r *Runner) calibratedOther(k *workloads.Kernel, cfg config.MemConfig, c *stats.Counters) (float64, error) {
-	if cfg == config.Baseline() {
+// calibratedOther returns the run's constant non-bank SM dynamic power
+// (watts), calibrated on the kernel's baseline run (Section 5.2). Two
+// cases self-calibrate on the run's own counters instead. A kernel mix
+// has no single-kernel baseline run to calibrate against. A one-stream
+// run under the baseline configuration needs none: the simulator is
+// deterministic, so its counters equal the cached baseline's, and
+// depending only on the spec (never on cache state) keeps results
+// identical whatever order concurrent runs complete in. It also avoids
+// re-entering Baseline from within the baseline run itself.
+func (r *Runner) calibratedOther(streams []StreamSpec, cfg config.MemConfig, c *stats.Counters) (float64, error) {
+	if len(streams) > 1 || cfg == config.Baseline() {
 		return r.Energy.CalibrateOther(cfg, c), nil
 	}
-	base, err := r.Baseline(k)
+	base, err := r.Baseline(streams[0].Kernel)
 	if err != nil {
 		return 0, err
 	}

@@ -22,7 +22,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	unifiedCfg, err := config.Allocate(kernel.Requirements(), config.BaselineTotalBytes, 0)
+	unifiedCfg, err := config.Allocate(config.BaselineTotalBytes, 0, kernel.Requirements())
 	if err != nil {
 		panic(err)
 	}

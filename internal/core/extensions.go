@@ -50,7 +50,7 @@ type SequenceResult struct {
 func (r *Runner) RunSequence(kernels []*workloads.Kernel, totalBytes int) (*SequenceResult, error) {
 	out := &SequenceResult{}
 	for _, k := range kernels {
-		cfg, err := config.Allocate(k.Requirements(), totalBytes, 0)
+		cfg, err := config.Allocate(totalBytes, 0, k.Requirements())
 		if err != nil {
 			return nil, fmt.Errorf("sequence: %s: %w", k.Name, err)
 		}
@@ -99,7 +99,7 @@ type ScatterAblation struct {
 func (r *Runner) AblateScatter(kernels []*workloads.Kernel) ([]ScatterAblation, error) {
 	return parallel.Map(len(kernels), func(i int) (ScatterAblation, error) {
 		k := kernels[i]
-		cfg, err := config.Allocate(k.Requirements(), config.BaselineTotalBytes, 0)
+		cfg, err := config.Allocate(config.BaselineTotalBytes, 0, k.Requirements())
 		if err != nil {
 			return ScatterAblation{}, err
 		}
@@ -150,7 +150,7 @@ func (r *Runner) PowerGating(kernels []*workloads.Kernel) ([]PowerGatingRow, err
 		if err != nil {
 			return PowerGatingRow{}, err
 		}
-		cfg, err := config.Allocate(k.Requirements(), config.BaselineTotalBytes, 0)
+		cfg, err := config.Allocate(config.BaselineTotalBytes, 0, k.Requirements())
 		if err != nil {
 			return PowerGatingRow{}, err
 		}

@@ -76,7 +76,7 @@ func (r *Runner) runMix(ks []*workloads.Kernel, cfg config.MemConfig) (int64, fl
 // allocation, and the Fermi-like limited design under multi-tenant
 // co-tenancy, one row per mix. The unified and Fermi capacities are the
 // baseline's 384 KB, partitioned jointly for the whole mix
-// (config.AllocateMulti / config.ChooseFermiMulti).
+// (config.Allocate / config.ChooseFermi over the whole mix).
 func (r *Runner) Multitenant(mixes [][]*workloads.Kernel) ([]MultitenantRow, error) {
 	return parallel.Map(len(mixes), func(i int) (MultitenantRow, error) {
 		ks := mixes[i]
@@ -92,7 +92,7 @@ func (r *Runner) Multitenant(mixes [][]*workloads.Kernel) ([]MultitenantRow, err
 		}
 		row.PartCycles, row.PartInfeasible = partCycles, partInf
 
-		uniCfg, uniErr := config.AllocateMulti(reqs, config.BaselineTotalBytes, 0)
+		uniCfg, uniErr := config.Allocate(config.BaselineTotalBytes, 0, reqs...)
 		if uniErr != nil {
 			row.UnifiedInfeasible = true
 		} else {
@@ -107,7 +107,7 @@ func (r *Runner) Multitenant(mixes [][]*workloads.Kernel) ([]MultitenantRow, err
 			}
 		}
 
-		fermiCfg := config.ChooseFermiMulti(reqs, config.BaselineTotalBytes-config.BaselineRFBytes, 0)
+		fermiCfg := config.ChooseFermi(config.BaselineTotalBytes-config.BaselineRFBytes, 0, reqs...)
 		cycles, energy, inf, err := r.runMix(ks, fermiCfg)
 		if err != nil {
 			return row, fmt.Errorf("%s fermi: %w", row.Mix, err)

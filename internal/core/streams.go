@@ -1,19 +1,14 @@
 package core
 
 import (
-	"context"
-	"fmt"
 	"strings"
 
-	"repro/internal/config"
 	"repro/internal/occupancy"
-	"repro/internal/sm"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
 
-// StreamSpec describes one co-resident kernel (stream) of a
-// multi-tenant run.
+// StreamSpec describes one co-resident kernel (stream) of a run.
 type StreamSpec struct {
 	// Kernel is the stream's workload.
 	Kernel *workloads.Kernel
@@ -26,7 +21,7 @@ type StreamSpec struct {
 	Seed uint64
 }
 
-// StreamResult is one stream's share of a multi-tenant run.
+// StreamResult is one stream's share of a run.
 type StreamResult struct {
 	// Kernel names the stream's workload.
 	Kernel string
@@ -47,102 +42,4 @@ func StreamNames(streams []StreamSpec) string {
 		names[i] = st.Kernel.Name
 	}
 	return strings.Join(names, "+")
-}
-
-// runStreams executes a multi-tenant RunSpec: residency is admitted
-// jointly (occupancy.ComputeShared, mirroring the dispatcher's
-// round-robin CTA-slot interleave), every stream must fit, and the SM
-// runs all streams concurrently with per-stream attribution.
-//
-// Energy always self-calibrates on the run's own counters: a kernel mix
-// has no single-kernel baseline run to calibrate against, and the
-// baseline-config convention (calibratedOther) degenerates to exactly
-// this for the self-calibrating case. Sampling is refused (per-stream
-// attribution needs exact runs); snapshot/fork refuses streams in Warm.
-func (r *Runner) runStreams(ctx context.Context, spec RunSpec, o *runOptions) (*Result, error) {
-	if spec.Kernel != nil {
-		return nil, fmt.Errorf("core: RunSpec.Kernel and RunSpec.Streams are mutually exclusive")
-	}
-	if o.sample.Enabled() {
-		return nil, fmt.Errorf("core: sampled mode does not support multi-tenant streams")
-	}
-	reqs := make([]config.KernelRequirements, len(spec.Streams))
-	regsAlloc := make([]int, len(spec.Streams))
-	for i, st := range spec.Streams {
-		if st.Kernel == nil {
-			return nil, fmt.Errorf("core: stream %d: %w", i, ErrKernelNil)
-		}
-		reqs[i] = st.Kernel.Requirements()
-		regs := st.RegsPerThread
-		if regs <= 0 || regs > st.Kernel.RegsNeeded {
-			regs = st.Kernel.RegsNeeded
-		}
-		regsAlloc[i] = regs
-	}
-	occs := occupancy.ComputeShared(reqs, spec.Config, regsAlloc)
-	smStreams := make([]sm.StreamSpec, len(spec.Streams))
-	for i, st := range spec.Streams {
-		if occs[i].CTAs < 1 {
-			return nil, &FitError{Kernel: st.Kernel.Name, Config: spec.Config, Limiter: occs[i].Limiter}
-		}
-		seed := st.Seed
-		if seed == 0 {
-			seed = r.Seed
-		}
-		regsAvail := 0
-		if regsAlloc[i] < st.Kernel.RegsNeeded {
-			regsAvail = regsAlloc[i]
-		}
-		smStreams[i] = sm.StreamSpec{
-			Name:         st.Kernel.Name,
-			Source:       &workloads.Source{K: st.Kernel, RegsAvail: regsAvail, Seed: seed},
-			ResidentCTAs: occs[i].CTAs,
-		}
-	}
-	label := StreamNames(spec.Streams)
-	if o.probe != nil {
-		o.probe.Annotate("kernel", label)
-		o.probe.Annotate("config", spec.Config.String())
-		o.probe.Annotate("streams", fmt.Sprint(len(spec.Streams)))
-	}
-	machine, err := sm.NewSM(sm.Spec{
-		Config:  spec.Config,
-		Params:  r.Params,
-		Streams: smStreams,
-		Probe:   o.probe,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: %s under %v: %w", label, spec.Config, err)
-	}
-	counters, err := machine.RunContext(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s under %v: %w", label, spec.Config, err)
-	}
-	res := &Result{Spec: spec, Occupancy: jointOccupancy(occs), Counters: counters}
-	scs := machine.StreamCounters()
-	res.Streams = make([]StreamResult, len(spec.Streams))
-	for i, st := range spec.Streams {
-		res.Streams[i] = StreamResult{Kernel: st.Kernel.Name, Occupancy: occs[i], Counters: scs[i]}
-	}
-	other := r.Energy.CalibrateOther(spec.Config, counters)
-	res.Energy = r.Energy.Evaluate(spec.Config, counters, other)
-	return res, nil
-}
-
-// jointOccupancy sums the numeric residency of every stream; the
-// Limiter reported is the first stream's (per-stream limiters live on
-// the StreamResults).
-func jointOccupancy(occs []occupancy.Result) occupancy.Result {
-	var out occupancy.Result
-	for i, o := range occs {
-		if i == 0 {
-			out.Limiter = o.Limiter
-		}
-		out.CTAs += o.CTAs
-		out.Threads += o.Threads
-		out.Warps += o.Warps
-		out.RFBytesUsed += o.RFBytesUsed
-		out.SharedBytesUsed += o.SharedBytesUsed
-	}
-	return out
 }

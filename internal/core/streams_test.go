@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/parallel"
 	"repro/internal/probe"
 	"repro/internal/stats"
+	"repro/internal/workloads"
 )
 
 // additiveCounters lists every additive stats.Counters field: the
@@ -140,31 +143,53 @@ func TestStreamStallConservation(t *testing.T) {
 	}
 }
 
-// TestSingleStreamMatchesLegacy pins that a one-entry streams list is
-// the legacy single-kernel run: identical counters, occupancy, and
-// energy, cycle for cycle — the property that lets every existing
-// golden stay byte-identical under the multi-tenant machinery.
-func TestSingleStreamMatchesLegacy(t *testing.T) {
+// TestOneStreamSpellingsMatch pins that a one-entry streams list and
+// the plain spelling are the same run: for every registry kernel under
+// the baseline, unified-384, and fermi-384 machines, the whole Result —
+// counters, occupancy, energy, and the per-stream record — is equal.
+// Energy is the rule that depends on the stream count: a one-stream run
+// calibrates on its kernel's baseline, whichever way it is spelled.
+func TestOneStreamSpellingsMatch(t *testing.T) {
+	machines := []NamedMachine{
+		BaselineMachine(),
+		UnifiedMachine("unified-384", config.BaselineTotalBytes),
+		FermiMachine("fermi-384", config.BaselineTotalBytes),
+	}
+	kernels := workloads.All()
 	r := NewRunner()
-	k := mustKernel(t, "sto")
-	legacy, err := r.Run(RunSpec{Config: config.Baseline(), Kernel: k})
+	type pair struct{ plain, streamed *Result }
+	pairs, err := parallel.Map(len(kernels)*len(machines), func(i int) (pair, error) {
+		k, m := kernels[i/len(machines)], machines[i%len(machines)]
+		cfg, err := m.Configure(k)
+		if err != nil {
+			return pair{}, err
+		}
+		plain, err := r.Run(RunSpec{Config: cfg, Kernel: k})
+		if err != nil {
+			return pair{}, fmt.Errorf("%s under %s: %w", k.Name, m.Name, err)
+		}
+		streamed, err := r.Run(RunSpec{Config: cfg, Streams: []StreamSpec{{Kernel: k}}})
+		if err != nil {
+			return pair{}, fmt.Errorf("%s under %s (streams): %w", k.Name, m.Name, err)
+		}
+		return pair{plain, streamed}, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	asStream, err := r.Run(RunSpec{Config: config.Baseline(), Streams: []StreamSpec{{Kernel: k}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy.Counters, asStream.Counters) {
-		t.Errorf("counters diverge:\nlegacy   %+v\nstreamed %+v", legacy.Counters, asStream.Counters)
-	}
-	if !reflect.DeepEqual(legacy.Occupancy, asStream.Occupancy) {
-		t.Errorf("occupancy diverges: legacy %+v streamed %+v", legacy.Occupancy, asStream.Occupancy)
-	}
-	if len(asStream.Streams) != 1 || asStream.Streams[0].Kernel != k.Name {
-		t.Fatalf("streamed run carries %d stream results", len(asStream.Streams))
-	}
-	if !reflect.DeepEqual(legacy.Counters, &asStream.Streams[0].Counters) {
-		t.Errorf("the single stream's attributed counters differ from the aggregate")
+	for i, p := range pairs {
+		name := kernels[i/len(machines)].Name + " under " + machines[i%len(machines)].Name
+		if !reflect.DeepEqual(p.plain.Counters, p.streamed.Counters) {
+			t.Errorf("%s: counters diverge:\nplain    %+v\nstreamed %+v", name, p.plain.Counters, p.streamed.Counters)
+		}
+		if p.plain.Occupancy != p.streamed.Occupancy {
+			t.Errorf("%s: occupancy diverges: plain %+v streamed %+v", name, p.plain.Occupancy, p.streamed.Occupancy)
+		}
+		if p.plain.Energy != p.streamed.Energy {
+			t.Errorf("%s: energy diverges: plain %v J streamed %v J", name, p.plain.Energy.Total(), p.streamed.Energy.Total())
+		}
+		if !reflect.DeepEqual(p.plain.Streams, p.streamed.Streams) || len(p.plain.Streams) != 1 {
+			t.Errorf("%s: per-stream records diverge: plain %+v streamed %+v", name, p.plain.Streams, p.streamed.Streams)
+		}
 	}
 }

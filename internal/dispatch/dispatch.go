@@ -97,13 +97,17 @@ type ctaSlot struct {
 }
 
 // StreamSpec describes one co-resident kernel (stream) of a
-// multi-stream dispatcher: its grid source and the number of CTA slots
-// it holds resident.
+// dispatcher: its grid source, the number of CTA slots it holds
+// resident, and the counter set its launch and retirement events are
+// filed into.
 type StreamSpec struct {
 	// Source supplies the stream's kernel grid.
 	Source TraceSource
 	// ResidentCTAs is the number of CTA slots reserved for this stream.
 	ResidentCTAs int
+	// Counters receives the stream's ThreadsRun, CTAsRetired, and
+	// MaxResidentThreads.
+	Counters *stats.Counters
 }
 
 // streamState is one stream's launch bookkeeping.
@@ -122,21 +126,16 @@ type streamState struct {
 	doneAt int64
 	// mask selects the warp slots owned by this stream's CTA slots.
 	mask uint64
-	// c, when non-nil, receives this stream's share of the launch and
-	// retirement events (ThreadsRun, CTAsRetired, MaxResidentThreads);
-	// the aggregate counters are always charged as well.
+	// c receives the stream's launch and retirement events.
 	c *stats.Counters
 }
 
 // Dispatcher launches the grid's CTAs into resident slots, rotates new
-// CTAs in as old ones drain, and resolves barriers. A multi-stream
-// dispatcher (NewMulti) hosts several kernels at once: each CTA slot is
-// pinned to one stream, slots are interleaved round-robin across
-// streams, and a drained slot relaunches the next CTA of its own
-// stream.
+// CTAs in as old ones drain, and resolves barriers. It hosts one or
+// more kernels (streams) at once: each CTA slot is pinned to one stream,
+// slots are interleaved round-robin across streams, and a drained slot
+// relaunches the next CTA of its own stream.
 type Dispatcher struct {
-	c *stats.Counters
-
 	design     config.Design
 	aggressive bool
 
@@ -161,41 +160,26 @@ type Dispatcher struct {
 var _ [64 - config.MaxWarpsPerSM]struct{}
 
 // New builds a dispatcher for the grid of src with residentCTAs
-// concurrent CTA slots. Launch and retirement events are filed into c.
+// concurrent CTA slots: the one-stream case of NewMulti. Launch and
+// retirement events are filed into c.
 func New(src TraceSource, residentCTAs int, c *stats.Counters) (*Dispatcher, error) {
-	_, warpsPer := src.Grid()
-	if residentCTAs < 1 {
-		return nil, fmt.Errorf("dispatch: need at least one resident CTA")
-	}
-	if warpsPer < 1 {
-		return nil, fmt.Errorf("dispatch: kernel has no warps per CTA")
-	}
-	if residentCTAs*warpsPer > config.MaxWarpsPerSM {
-		return nil, fmt.Errorf("dispatch: %d resident CTAs of %d warps exceed the %d-warp SM limit",
-			residentCTAs, warpsPer, config.MaxWarpsPerSM)
-	}
-	return NewMulti([]StreamSpec{{Source: src, ResidentCTAs: residentCTAs}}, c, nil)
+	return NewMulti([]StreamSpec{{Source: src, ResidentCTAs: residentCTAs, Counters: c}})
 }
 
 // NewMulti builds a dispatcher hosting the given streams concurrently.
 // CTA slots are interleaved round-robin across streams (stream 0's
 // first slot, stream 1's first slot, ..., stream 0's second slot, ...),
 // so slot — and therefore warp — indices alternate between streams and
-// index-based tie-breaks (MinReady) stay fair. With one stream the
-// layout is identical to New's. streamCounters, when non-nil, supplies
-// one per-stream counter set charged alongside the aggregate c.
-func NewMulti(specs []StreamSpec, c *stats.Counters, streamCounters []*stats.Counters) (*Dispatcher, error) {
+// index-based tie-breaks (MinReady) stay fair.
+func NewMulti(specs []StreamSpec) (*Dispatcher, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("dispatch: need at least one stream")
 	}
-	if streamCounters != nil && len(streamCounters) != len(specs) {
-		return nil, fmt.Errorf("dispatch: %d stream counter sets for %d streams", len(streamCounters), len(specs))
-	}
-	d := &Dispatcher{c: c, streams: make([]streamState, len(specs))}
+	d := &Dispatcher{streams: make([]streamState, len(specs))}
 	totalWarps, maxResident := 0, 0
 	for i, sp := range specs {
-		if sp.Source == nil {
-			return nil, fmt.Errorf("dispatch: stream %d has no trace source", i)
+		if sp.Source == nil || sp.Counters == nil {
+			return nil, fmt.Errorf("dispatch: stream %d has no trace source or counter set", i)
 		}
 		if sp.ResidentCTAs < 1 {
 			return nil, fmt.Errorf("dispatch: stream %d needs at least one resident CTA", i)
@@ -209,9 +193,7 @@ func NewMulti(specs []StreamSpec, c *stats.Counters, streamCounters []*stats.Cou
 		st.totalCTAs = totalCTAs
 		st.warpsPer = warpsPer
 		st.doneAt = -1
-		if streamCounters != nil {
-			st.c = streamCounters[i]
-		}
+		st.c = sp.Counters
 		totalWarps += sp.ResidentCTAs * warpsPer
 		if sp.ResidentCTAs > maxResident {
 			maxResident = sp.ResidentCTAs
@@ -262,7 +244,7 @@ func (d *Dispatcher) EnableOutcomes(design config.Design, aggressive bool) bool 
 }
 
 // Start launches the initial resident CTAs at the given cycle and records
-// the resident-thread high-water mark (aggregate and per stream).
+// each stream's resident-thread high-water mark.
 func (d *Dispatcher) Start(cycle int64) {
 	for slot := range d.ctas {
 		st := &d.streams[d.ctas[slot].stream]
@@ -270,19 +252,11 @@ func (d *Dispatcher) Start(cycle int64) {
 			d.launch(slot, cycle)
 		}
 	}
-	resident := 0
 	for i := range d.ctas {
-		c := &d.ctas[i]
-		if c.id < 0 {
-			continue
-		}
-		threads := len(c.warps) * isa.WarpSize
-		resident += threads
-		if sc := d.streams[c.stream].c; sc != nil {
-			sc.MaxResidentThreads += threads
+		if c := &d.ctas[i]; c.id >= 0 {
+			d.streams[c.stream].c.MaxResidentThreads += len(c.warps) * isa.WarpSize
 		}
 	}
-	d.c.MaxResidentThreads = resident
 	// A stream with an empty grid is complete before it begins.
 	for i := range d.streams {
 		st := &d.streams[i]
@@ -316,11 +290,7 @@ func (d *Dispatcher) launch(slot int, cycle int64) {
 		st.liveWarps++
 		d.readyMask |= 1 << uint(wIdx)
 	}
-	launched := int64(st.warpsPer) * isa.WarpSize
-	d.c.ThreadsRun += launched
-	if st.c != nil {
-		st.c.ThreadsRun += launched
-	}
+	st.c.ThreadsRun += int64(st.warpsPer) * isa.WarpSize
 }
 
 // Done reports whether every warp of the grid has exited.
@@ -432,10 +402,7 @@ func (d *Dispatcher) Exit(wIdx int, now int64) {
 	st.liveWarps--
 	c.liveWarps--
 	if c.liveWarps == 0 {
-		d.c.CTAsRetired++
-		if st.c != nil {
-			st.c.CTAsRetired++
-		}
+		st.c.CTAsRetired++
 		slot := w.CTASlot
 		c.id = -1
 		if st.nextCTA < st.totalCTAs {
@@ -451,7 +418,7 @@ func (d *Dispatcher) Exit(wIdx int, now int64) {
 }
 
 // NumStreams returns the number of co-resident streams (the
-// sched.StreamPool view); it is 1 for dispatchers built with New.
+// sched.StreamPool view).
 func (d *Dispatcher) NumStreams() int { return len(d.streams) }
 
 // Stream returns the stream index owning warp slot w (the

@@ -19,8 +19,8 @@ type ProfileSpec struct {
 	// Streams, when non-empty, profiles a multi-tenant mix instead: the
 	// named kernels run co-resident on one SM and the probe attributes
 	// issue and stall slots per stream. Mutually exclusive with Kernel;
-	// RegsPerThread then applies to no stream (each uses its spill-free
-	// demand).
+	// RegsPerThread applies only to a one-kernel list (the streams of a
+	// mix each use their spill-free demand).
 	Streams []string
 	// Config is the local-memory configuration to run under.
 	Config config.MemConfig
@@ -42,25 +42,22 @@ type ProfileResult struct {
 // engine behind cmd/smprof and usable directly from tests.
 func Profile(r *core.Runner, ps ProfileSpec) (*ProfileResult, error) {
 	p := probe.New(ps.IntervalCycles, ps.NDJSON)
-	var spec core.RunSpec
-	if len(ps.Streams) > 0 {
-		if ps.Kernel != "" {
-			return nil, fmt.Errorf("harness: ProfileSpec.Kernel and ProfileSpec.Streams are mutually exclusive")
-		}
-		spec = core.RunSpec{Config: ps.Config}
-		for _, name := range ps.Streams {
-			k, err := workloads.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			spec.Streams = append(spec.Streams, core.StreamSpec{Kernel: k})
-		}
-	} else {
-		k, err := workloads.ByName(ps.Kernel)
+	names := ps.Streams
+	if len(names) == 0 {
+		names = []string{ps.Kernel}
+	} else if ps.Kernel != "" {
+		return nil, fmt.Errorf("harness: ProfileSpec.Kernel and ProfileSpec.Streams are mutually exclusive")
+	}
+	spec := core.RunSpec{Config: ps.Config}
+	for _, name := range names {
+		k, err := workloads.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		spec = core.RunSpec{Kernel: k, Config: ps.Config, RegsPerThread: ps.RegsPerThread}
+		spec.Streams = append(spec.Streams, core.StreamSpec{Kernel: k})
+	}
+	if len(spec.Streams) == 1 {
+		spec.Streams[0].RegsPerThread = ps.RegsPerThread
 	}
 	res, err := r.Run(spec, core.WithProbe(p))
 	if err != nil {
@@ -192,15 +189,12 @@ func FormatProfile(pr *ProfileResult) string {
 	res, p := pr.Result, pr.Probe
 	c := res.Counters
 	var sb strings.Builder
-	if len(res.Spec.Streams) > 0 {
-		fmt.Fprintf(&sb, "%s under %v: threads=%d (%d CTAs jointly resident)\n",
-			core.StreamNames(res.Spec.Streams), res.Spec.Config,
-			res.Occupancy.Threads, res.Occupancy.CTAs)
-	} else {
-		fmt.Fprintf(&sb, "%s under %v: threads=%d (%d CTAs, limited by %v)\n",
-			res.Spec.Kernel.Name, res.Spec.Config, res.Occupancy.Threads,
-			res.Occupancy.CTAs, res.Occupancy.Limiter)
+	residency := fmt.Sprintf("%d CTAs, limited by %v", res.Occupancy.CTAs, res.Occupancy.Limiter)
+	if len(res.Streams) > 1 {
+		residency = fmt.Sprintf("%d CTAs jointly resident", res.Occupancy.CTAs)
 	}
+	fmt.Fprintf(&sb, "%s under %v: threads=%d (%s)\n",
+		core.StreamNames(res.Spec.Streams), res.Spec.Config, res.Occupancy.Threads, residency)
 	fmt.Fprintf(&sb, "cycles=%d  warp IPC=%.3f  thread IPC=%.2f  cache hit=%s  dram=%dB\n\n",
 		c.Cycles, c.IPC(), res.IPC(), report.Percent(c.CacheHitRate()), c.DRAMBytes())
 	sb.WriteString(StallTable(p).String())

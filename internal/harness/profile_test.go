@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -182,5 +184,66 @@ func TestFormatProfile(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// profileGoldens are the probe outputs pinned byte for byte: the NDJSON
+// stream of a single-kernel run and of a two-stream mix, and the
+// rendered smprof report of the mix (aggregate and per-stream stall
+// tables). Regenerate with
+//
+//	go test ./internal/harness -run TestProfileGoldens -update
+var profileGoldens = []struct {
+	file   string
+	spec   ProfileSpec
+	ndjson bool // pin the NDJSON stream, else the rendered report
+}{
+	{"needle.ndjson", ProfileSpec{Kernel: "needle", Config: profileConfig}, true},
+	{"needle+matrixmul.ndjson", ProfileSpec{Streams: []string{"needle", "matrixmul"}, Config: profileConfig}, true},
+	{"needle+matrixmul.txt", ProfileSpec{Streams: []string{"needle", "matrixmul"}, Config: profileConfig}, false},
+}
+
+// TestProfileGoldens pins the probe's NDJSON bytes and the smprof
+// stall-table text against testdata/profile, so a change to the probe
+// hooks or the stall classifier that alters any attributed slot fails
+// here rather than passing a round-trip check.
+func TestProfileGoldens(t *testing.T) {
+	dir := filepath.Join("testdata", "profile")
+	if *update {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, g := range profileGoldens {
+		t.Run(g.file, func(t *testing.T) {
+			var buf bytes.Buffer
+			spec := g.spec
+			if g.ndjson {
+				spec.NDJSON = &buf
+			}
+			pr, err := Profile(core.NewRunner(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := buf.String()
+			if !g.ndjson {
+				got = FormatProfile(pr)
+			}
+			path := filepath.Join(dir, g.file)
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden file (regenerate with -update): %v", err)
+			}
+			if got != string(want) {
+				t.Errorf("%s diverged from %s (regenerate with -update if intentional)\n--- got ---\n%s--- want ---\n%s",
+					g.file, path, got, want)
+			}
+		})
 	}
 }

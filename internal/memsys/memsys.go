@@ -95,7 +95,8 @@ type MemSys struct {
 	accBuf    []Access // reused Load result storage
 }
 
-// New builds a memory pipeline issuing to mem, filing events into c.
+// New builds a memory pipeline issuing to mem, filing events into c
+// until SetCounters redirects them.
 func New(cfg Config, mem Memory, c *stats.Counters) *MemSys {
 	return &MemSys{
 		cfg:     cfg,
@@ -106,6 +107,11 @@ func New(cfg Config, mem Memory, c *stats.Counters) *MemSys {
 		accBuf:  make([]Access, 0, isa.WarpSize),
 	}
 }
+
+// SetCounters files the events of subsequent accesses into c: the SM
+// points it at the issuing stream's counter set before each global
+// memory instruction.
+func (m *MemSys) SetCounters(c *stats.Counters) { m.c = c }
 
 // CacheEnabled reports whether a data cache is configured.
 func (m *MemSys) CacheEnabled() bool { return m.cfg.CacheBytes > 0 }

@@ -58,45 +58,59 @@ type Result struct {
 }
 
 // Compute returns the residency of a kernel with the given requirements
-// under cfg. regsAllocated is the register count actually allocated per
-// thread, which may be below req.RegsPerThread when the sweep forces
-// spills; pass 0 to use req.RegsPerThread.
+// under cfg: the one-kernel case of ComputeShared. regsAllocated is the
+// register count actually allocated per thread, which may be below
+// req.RegsPerThread when the sweep forces spills; pass 0 to use
+// req.RegsPerThread.
 func Compute(req config.KernelRequirements, cfg config.MemConfig, regsAllocated int) Result {
-	if regsAllocated <= 0 {
-		regsAllocated = req.RegsPerThread
-	}
-	if req.ThreadsPerCTA <= 0 {
-		return Result{Limiter: LimitNone}
-	}
-	limit := cfg.ThreadLimit()
-	ctasByThreads := limit / req.ThreadsPerCTA
-	ctas := ctasByThreads
-	limiter := LimitThreads
+	return ComputeShared([]config.KernelRequirements{req}, cfg, []int{regsAllocated})[0]
+}
 
-	rfPerCTA := regsAllocated * 4 * req.ThreadsPerCTA
-	if rfPerCTA > 0 {
-		byRF := cfg.RFBytes / rfPerCTA
-		if byRF < ctas {
-			ctas, limiter = byRF, LimitRegisters
+// ComputeShared returns per-kernel residency for one or more kernels
+// co-resident on one SM, admitted by the round-robin rule of
+// config.Admit under the joint thread, register-file, and shared-memory
+// budgets of cfg. The order matches the dispatcher's CTA-slot
+// interleave, so slot layout follows directly from this result.
+//
+// regsAllocated optionally overrides the register allocation per kernel
+// (nil or a zero entry means the kernel's RegsPerThread). Each kernel's
+// Limiter names the resource that refused its next CTA; a kernel that
+// admits no CTA at all reports LimitNone.
+func ComputeShared(reqs []config.KernelRequirements, cfg config.MemConfig, regsAllocated []int) []Result {
+	alloc := make([]config.KernelRequirements, len(reqs))
+	for i, req := range reqs {
+		if regsAllocated != nil && regsAllocated[i] > 0 {
+			req.RegsPerThread = regsAllocated[i]
+		}
+		alloc[i] = req
+	}
+	ctas, refused := config.Admit(alloc, config.Capacity{
+		Threads: cfg.ThreadLimit(), RFBytes: cfg.RFBytes, SharedBytes: cfg.SharedBytes,
+	})
+	out := make([]Result, len(reqs))
+	for i, req := range alloc {
+		if ctas[i] <= 0 {
+			out[i] = Result{Limiter: LimitNone}
+			continue
+		}
+		threads := ctas[i] * req.ThreadsPerCTA
+		out[i] = Result{
+			CTAs:            ctas[i],
+			Threads:         threads,
+			Warps:           threads / 32,
+			Limiter:         limiters[refused[i]],
+			RFBytesUsed:     threads * req.BytesPerThread(),
+			SharedBytesUsed: ctas[i] * req.SharedBytesPerCTA,
 		}
 	}
-	if req.SharedBytesPerCTA > 0 {
-		byShmem := cfg.SharedBytes / req.SharedBytesPerCTA
-		if byShmem < ctas {
-			ctas, limiter = byShmem, LimitShared
-		}
-	}
-	if ctas <= 0 {
-		return Result{Limiter: LimitNone}
-	}
-	return Result{
-		CTAs:            ctas,
-		Threads:         ctas * req.ThreadsPerCTA,
-		Warps:           ctas * req.ThreadsPerCTA / 32,
-		Limiter:         limiter,
-		RFBytesUsed:     ctas * rfPerCTA,
-		SharedBytesUsed: ctas * req.SharedBytesPerCTA,
-	}
+	return out
+}
+
+// limiters maps the admission budget that refused a CTA to its Limiter.
+var limiters = [...]Limiter{
+	config.BudgetThreads:   LimitThreads,
+	config.BudgetRegisters: LimitRegisters,
+	config.BudgetShared:    LimitShared,
 }
 
 // FullOccupancyRFBytes returns the register file capacity needed to run the

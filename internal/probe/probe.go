@@ -101,8 +101,11 @@ type Probe struct {
 	interval int64
 	out      io.Writer
 
-	meta     []metaKV
-	counters *stats.Counters
+	meta []metaKV
+	// counters are the observed SM's live per-stream counter sets (its
+	// only event record); the probe sums them at interval boundaries to
+	// derive cache and DRAM phase deltas.
+	counters []stats.Counters
 
 	startCycle int64 // run start (chip simulators stagger SM starts)
 	next       int64 // next unaccounted cycle
@@ -127,12 +130,10 @@ type Probe struct {
 	// Counter snapshots at the current interval's start.
 	snapProbes, snapHits, snapDRAM int64
 
-	// Per-stream attribution (streams.go); all nil/zero on
-	// single-kernel runs, so those pay nothing for the capability.
-	streamNames    []string
-	streamCounters []*stats.Counters
-	streamTallies  []streamTally
-	lastStream     int
+	// Per-stream attribution (streams.go).
+	streamNames   []string
+	streamTallies []StreamTally
+	lastStream    int
 
 	encBuf []byte // reused NDJSON encode buffer
 	werr   error  // first NDJSON write error
@@ -172,16 +173,17 @@ func (p *Probe) Meta(key string) string {
 	return ""
 }
 
-// Begin starts observation at the run's first cycle. c is the live
-// counter set of the SM under observation; the probe reads it at
-// interval boundaries to derive cache and DRAM phase deltas. The SM
-// calls Begin from Start.
-func (p *Probe) Begin(c *stats.Counters, cycle int64) {
+// Begin starts observation at the run's first cycle. The SM calls Begin
+// from Start, after declaring its streams (SetStreams); a probe driven
+// without SetStreams observes one unnamed stream and no counters.
+func (p *Probe) Begin(cycle int64) {
 	if p.began {
 		return
 	}
 	p.began = true
-	p.counters = c
+	if p.streamTallies == nil {
+		p.streamTallies = make([]StreamTally, 1)
+	}
 	p.startCycle = cycle
 	p.next = cycle
 	p.cur = Interval{Start: cycle, End: cycle + p.interval}
@@ -190,18 +192,24 @@ func (p *Probe) Begin(c *stats.Counters, cycle int64) {
 	}
 }
 
-// Issue records one issued instruction occupying the slot at cycle. The
-// SM guarantees cycles arrive nondecreasing and that every slot between
-// Begin and End is covered by exactly one Issue or Stall call.
-func (p *Probe) Issue(cycle int64) {
+// Issue records one instruction of stream issued in the slot at cycle.
+// The SM guarantees cycles arrive nondecreasing and that every slot
+// between Begin and End is covered by exactly one Issue or Stall call.
+func (p *Probe) Issue(cycle int64, stream int) {
 	p.advance(cycle)
 	p.issued++
 	p.cur.Issued++
 	p.next = cycle + 1
+	p.streamTallies[stream].Issued++
+	p.lastStream = stream
 }
 
-// Stall attributes the lost issue slots [from, to) to reason.
-func (p *Probe) Stall(from, to int64, reason StallReason) {
+// Stall attributes the lost issue slots [from, to) to reason, charged
+// to stream (the stream the SM holds responsible for the stall).
+func (p *Probe) Stall(from, to int64, reason StallReason, stream int) {
+	if to > from {
+		p.streamTallies[stream].Stalls[reason] += to - from
+	}
 	for from < to {
 		p.advance(from)
 		// Fill the current interval up to its end or the span's end.
@@ -262,7 +270,7 @@ func (p *Probe) End(finalCycle int64) {
 		// The trailing drain is charged to the last-issuing stream: the
 		// run's final issue is the last-finishing stream's EXIT, and the
 		// posted tag-port work draining afterwards is its traffic.
-		p.StallStream(p.next, finalCycle, StallDrain, p.lastStream)
+		p.Stall(p.next, finalCycle, StallDrain, p.lastStream)
 	}
 	if p.cur.Issued != 0 || p.cur.Stalls != ([NumStallReasons]int64{}) {
 		p.cur.End = p.next
@@ -286,19 +294,28 @@ func (p *Probe) advance(cycle int64) {
 // the record, streams it as NDJSON, and opens the next window.
 func (p *Probe) flush() {
 	iv := p.cur
-	if p.counters != nil {
-		iv.CacheProbes = p.counters.CacheProbes - p.snapProbes
-		iv.CacheHits = p.counters.CacheHits - p.snapHits
-		iv.DRAMBytes = p.counters.DRAMBytes() - p.snapDRAM
-		p.snapProbes = p.counters.CacheProbes
-		p.snapHits = p.counters.CacheHits
-		p.snapDRAM = p.counters.DRAMBytes()
-	}
+	probes, hits, dram := p.counterTotals()
+	iv.CacheProbes = probes - p.snapProbes
+	iv.CacheHits = hits - p.snapHits
+	iv.DRAMBytes = dram - p.snapDRAM
+	p.snapProbes, p.snapHits, p.snapDRAM = probes, hits, dram
 	p.intervals = append(p.intervals, iv)
 	if p.out != nil {
 		p.writeInterval(&iv)
 	}
 	p.cur = Interval{Start: iv.End, End: iv.End + p.interval}
+}
+
+// counterTotals sums the cache probes, cache hits, and DRAM bytes of
+// the observed streams' counter sets.
+func (p *Probe) counterTotals() (probes, hits, dram int64) {
+	for i := range p.counters {
+		c := &p.counters[i]
+		probes += c.CacheProbes
+		hits += c.CacheHits
+		dram += c.DRAMBytes()
+	}
+	return probes, hits, dram
 }
 
 // Issued returns the number of instructions issued.

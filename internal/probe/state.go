@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"repro/internal/config"
-	"repro/internal/stats"
 )
 
 // State is a frozen image of a probe mid-run: accumulators, the open
@@ -16,9 +15,9 @@ import (
 //
 // Not captured: the output writer and encode buffer (a fork streams to
 // its own writer; bytes the parent already wrote belong to the caller),
-// and the live counters pointer, which must be rebound to the fork's
-// counter set (Rebind) — pointing a fork's probe at the parent's
-// counters would make interval deltas read the wrong run.
+// and the stream names and live counter sets, which the forked SM
+// declares afresh (SetStreams) — pointing a fork's probe at the
+// parent's counters would make interval deltas read the wrong run.
 type State struct {
 	Interval   int64
 	Meta       [][2]string
@@ -40,6 +39,9 @@ type State struct {
 	Intervals []Interval
 
 	SnapProbes, SnapHits, SnapDRAM int64
+
+	Streams    []StreamTally
+	LastStream int
 }
 
 // Snapshot captures the probe state as an immutable State. A nil probe
@@ -68,6 +70,8 @@ func (p *Probe) Snapshot() *State {
 		SnapProbes:   p.snapProbes,
 		SnapHits:     p.snapHits,
 		SnapDRAM:     p.snapDRAM,
+		Streams:      append([]StreamTally(nil), p.streamTallies...),
+		LastStream:   p.lastStream,
 	}
 	for i, kv := range p.meta {
 		st.Meta[i] = [2]string{kv.key, kv.value}
@@ -79,43 +83,39 @@ func (p *Probe) Snapshot() *State {
 // records to out (nil disables streaming). The parent's meta record and
 // completed intervals were already written to the parent's writer, so a
 // restored probe never re-emits them; concatenating the parent's bytes
-// with the fork's reproduces the single-run stream. The probe's counters
-// pointer starts nil — the forked SM must call Rebind before running.
+// with the fork's reproduces the single-run stream. The probe observes
+// no counters until the forked SM declares its streams (SetStreams).
 func Restore(st *State, out io.Writer) *Probe {
 	if st == nil {
 		return nil
 	}
 	p := &Probe{
-		interval:     st.Interval,
-		out:          out,
-		meta:         make([]metaKV, len(st.Meta)),
-		startCycle:   st.StartCycle,
-		next:         st.Next,
-		began:        st.Began,
-		ended:        st.Ended,
-		issued:       st.Issued,
-		stalls:       st.Stalls,
-		bankAccess:   st.BankAccess,
-		bankConflict: st.BankConflict,
-		accHits:      st.AccHits,
-		accMerged:    st.AccMerged,
-		accMisses:    st.AccMisses,
-		missSectors:  st.MissSectors,
-		cur:          st.Cur,
-		intervals:    append(make([]Interval, 0, len(st.Intervals)+256), st.Intervals...),
-		snapProbes:   st.SnapProbes,
-		snapHits:     st.SnapHits,
-		snapDRAM:     st.SnapDRAM,
-		encBuf:       make([]byte, 0, 512),
+		interval:      st.Interval,
+		out:           out,
+		meta:          make([]metaKV, len(st.Meta)),
+		startCycle:    st.StartCycle,
+		next:          st.Next,
+		began:         st.Began,
+		ended:         st.Ended,
+		issued:        st.Issued,
+		stalls:        st.Stalls,
+		bankAccess:    st.BankAccess,
+		bankConflict:  st.BankConflict,
+		accHits:       st.AccHits,
+		accMerged:     st.AccMerged,
+		accMisses:     st.AccMisses,
+		missSectors:   st.MissSectors,
+		cur:           st.Cur,
+		intervals:     append(make([]Interval, 0, len(st.Intervals)+256), st.Intervals...),
+		snapProbes:    st.SnapProbes,
+		snapHits:      st.SnapHits,
+		snapDRAM:      st.SnapDRAM,
+		streamTallies: append([]StreamTally(nil), st.Streams...),
+		lastStream:    st.LastStream,
+		encBuf:        make([]byte, 0, 512),
 	}
 	for i, kv := range st.Meta {
 		p.meta[i] = metaKV{key: kv[0], value: kv[1]}
 	}
 	return p
 }
-
-// Rebind points the probe at the counter set of the SM it now observes.
-// It is the snapshot/fork hook: a restored probe's interval deltas must
-// read the forked run's counters, not the parent's. The SM calls it
-// during Fork; it has no other use.
-func (p *Probe) Rebind(c *stats.Counters) { p.counters = c }

@@ -2,61 +2,41 @@ package probe
 
 import "repro/internal/stats"
 
-// Per-stream attribution. When several kernels (streams) are co-resident
-// on the observed SM, the SM routes its hot hooks through IssueStream and
-// StallStream instead of Issue and Stall: each wraps the aggregate hook
-// and additionally tallies the slot to one stream, so the per-stream
-// breakdowns sum exactly to the aggregate profile by construction (the
-// conservation invariant DESIGN.md §5j pins). A probe without SetStreams
-// carries no per-stream state and its NDJSON stream is byte-identical to
-// the single-kernel schema.
+// Per-stream attribution. The observed SM runs one or more kernels
+// (streams) and names the stream of every hook call, so each issue slot
+// is tallied both to the aggregate profile and to one stream: the
+// per-stream breakdowns sum exactly to the aggregate by construction
+// (the conservation invariant DESIGN.md §5j pins). Only a run of two or
+// more streams emits per-stream NDJSON records, so a one-stream run's
+// stream is byte-identical to the single-kernel schema.
 
-// streamTally is one stream's share of the issue-slot attribution.
-type streamTally struct {
-	issued int64
-	stalls [NumStallReasons]int64
+// StreamTally is one stream's share of the issue-slot attribution.
+type StreamTally struct {
+	Issued int64
+	Stalls [NumStallReasons]int64
 }
 
-// SetStreams declares the co-resident streams before the run begins.
-// names label the streams (kernel names) in stream-index order; counters
-// optionally supplies each stream's live counter set (per-stream cache
-// and DRAM attribution in the NDJSON stream records), and may be nil.
-func (p *Probe) SetStreams(names []string, counters []*stats.Counters) {
-	if len(names) == 0 {
-		return
-	}
-	p.streamNames = append([]string(nil), names...)
-	p.streamCounters = counters
-	p.streamTallies = make([]streamTally, len(names))
-}
-
-// IssueStream is Issue with the slot additionally charged to stream.
-func (p *Probe) IssueStream(cycle int64, stream int) {
-	p.Issue(cycle)
-	if p.streamTallies != nil {
-		p.streamTallies[stream].issued++
-		p.lastStream = stream
+// SetStreams declares the observed SM's streams before the run begins:
+// names label them in stream-index order, and counters are their live
+// counter sets, which the probe sums for its cache and DRAM phase
+// deltas and reports per stream. Tallies a restored probe carries over
+// from its snapshot are kept.
+func (p *Probe) SetStreams(names []string, counters []stats.Counters) {
+	p.streamNames = names
+	p.counters = counters
+	if len(p.streamTallies) != len(names) {
+		p.streamTallies = make([]StreamTally, len(names))
 	}
 }
 
-// StallStream is Stall with the lost slots additionally charged to
-// stream (the stream the SM holds responsible for the stall).
-func (p *Probe) StallStream(from, to int64, reason StallReason, stream int) {
-	if p.streamTallies != nil && to > from {
-		p.streamTallies[stream].stalls[reason] += to - from
-	}
-	p.Stall(from, to, reason)
-}
-
-// NumStreams returns the number of declared streams (0 when the probe
-// observes a single-kernel run).
+// NumStreams returns the number of declared streams.
 func (p *Probe) NumStreams() int { return len(p.streamNames) }
 
 // StreamName returns the label of stream i.
 func (p *Probe) StreamName(i int) string { return p.streamNames[i] }
 
 // StreamIssued returns the instructions issued by stream i.
-func (p *Probe) StreamIssued(i int) int64 { return p.streamTallies[i].issued }
+func (p *Probe) StreamIssued(i int) int64 { return p.streamTallies[i].Issued }
 
 // StreamStalls returns stream i's per-reason lost-slot totals.
-func (p *Probe) StreamStalls(i int) [NumStallReasons]int64 { return p.streamTallies[i].stalls }
+func (p *Probe) StreamStalls(i int) [NumStallReasons]int64 { return p.streamTallies[i].Stalls }

@@ -94,6 +94,13 @@ func TestProbeStreamAcrossSnapshot(t *testing.T) {
 			t.Errorf("interval %d differs: fresh %+v, fork %+v", i, fi[i], ki[i])
 		}
 	}
+	// The per-stream tallies carry across the snapshot too.
+	if f, k := freshSpec.Probe.StreamIssued(0), forkSpec.Probe.StreamIssued(0); f != k || k != forkSpec.Probe.Issued() {
+		t.Errorf("stream 0 issued: fresh %d, fork %d (fork total %d)", f, k, forkSpec.Probe.Issued())
+	}
+	if f, k := freshSpec.Probe.StreamStalls(0), forkSpec.Probe.StreamStalls(0); f != k {
+		t.Errorf("stream 0 stalls: fresh %v, fork %v", f, k)
+	}
 }
 
 // TestForkProbednessGuard pins the probe/fork interlock: a probed

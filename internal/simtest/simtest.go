@@ -92,9 +92,9 @@ func (c Case) Spec() (sm.Spec, error) {
 func (c Case) memConfig(k *workloads.Kernel) (config.MemConfig, error) {
 	switch c.Design {
 	case config.Unified:
-		return config.Allocate(k.Requirements(), config.BaselineTotalBytes, 0)
+		return config.Allocate(config.BaselineTotalBytes, 0, k.Requirements())
 	case config.FermiLike:
-		return config.ChooseFermi(k.Requirements(), config.BaselineTotalBytes-config.BaselineRFBytes, 0), nil
+		return config.ChooseFermi(config.BaselineTotalBytes-config.BaselineRFBytes, 0, k.Requirements()), nil
 	default:
 		return config.Baseline(), nil
 	}

@@ -88,7 +88,7 @@ func (s *SM) RunSampled(ctx context.Context, sp SampleSpec) (*stats.Counters, er
 	if s.prof != nil {
 		return nil, fmt.Errorf("sm: sampled mode cannot attach a probe (stall attribution needs exact runs)")
 	}
-	if s.streamCounters != nil {
+	if len(s.streams) > 1 {
 		return nil, fmt.Errorf("sm: sampled mode does not support multi-tenant streams")
 	}
 	poll := ctx != nil && ctx.Done() != nil
@@ -144,7 +144,7 @@ func (s *SM) fastForward(ctx context.Context, until int64, budget *int) error {
 	start := s.cycle
 	issued := int64(0)
 	maxLocal := start
-	dramBytes0 := s.counters.DRAMReadBytes + s.counters.DRAMWriteBytes
+	dramBytes0 := s.dramBytes()
 	n := s.disp.NumWarps()
 	for {
 		progressed := false
@@ -184,7 +184,7 @@ func (s *SM) fastForward(ctx context.Context, until int64, budget *int) error {
 		adv = t
 	}
 	if bpc := int64(s.params.DRAM.Normalized().BytesPerCycle); bpc > 0 {
-		moved := s.counters.DRAMReadBytes + s.counters.DRAMWriteBytes - dramBytes0
+		moved := s.dramBytes() - dramBytes0
 		if t := start + (moved+bpc-1)/bpc; t > adv {
 			adv = t
 		}
@@ -199,6 +199,15 @@ func (s *SM) fastForward(ctx context.Context, until int64, budget *int) error {
 		s.slotFreeAt = s.cycle
 	}
 	return nil
+}
+
+// dramBytes sums the DRAM traffic charged to every stream so far.
+func (s *SM) dramBytes() int64 {
+	var n int64
+	for i := range s.streams {
+		n += s.streams[i].DRAMBytes()
+	}
+	return n
 }
 
 // runWarpFast executes one warp functionally from cycle now until it
@@ -235,16 +244,18 @@ func (s *SM) runWarpFast(ctx context.Context, poll bool, wIdx int, now, until in
 		} else {
 			out = s.bankModel.Evaluate(wi)
 		}
-		s.counters.WarpInsts++
-		s.counters.ThreadInsts += int64(wi.ActiveThreads())
+		sc := &s.streams[s.disp.Stream(wIdx)]
+		sc.WarpInsts++
+		sc.ThreadInsts += int64(wi.ActiveThreads())
 		if wi.Spill {
-			s.counters.SpillInsts++
+			sc.SpillInsts++
 		}
-		s.counters.RecordConflict(out.MaxPerBank)
+		sc.RecordConflict(out.MaxPerBank)
 		if out.Arbitration {
-			s.counters.ArbitrationConflicts++
+			sc.ArbitrationConflicts++
 		}
-		s.counters.RecordRegAccesses(wi)
+		sc.RecordRegAccesses(wi)
+		s.mem.SetCounters(sc)
 		extra := int64(out.ExtraCycles)
 		issued++
 
@@ -256,9 +267,9 @@ func (s *SM) runWarpFast(ctx context.Context, poll bool, wIdx int, now, until in
 			complete = now + s.params.SFULatency + extra
 		case isa.OpLDS:
 			complete = now + s.params.SharedLatency + extra
-			s.counters.SharedReads += int64(out.MemAccesses)
+			sc.SharedReads += int64(out.MemAccesses)
 		case isa.OpSTS:
-			s.counters.SharedWrites += int64(out.MemAccesses)
+			sc.SharedWrites += int64(out.MemAccesses)
 		case isa.OpLDG:
 			complete = s.mem.FastLoad(wi, now)
 		case isa.OpSTG:

@@ -108,14 +108,17 @@ type SM struct {
 	// injected a shared system. Snapshot needs it: a shared memory
 	// system's state belongs to the chip, not to one SM.
 	dramModel *dram.DRAM
-	counters  stats.Counters
-	// streamCounters holds per-stream attribution for multi-tenant runs
-	// (Spec.Streams); nil for single-kernel specs, which therefore pay
-	// one nil check per issue for the capability. Additive categories
-	// sum exactly to counters across streams (DESIGN.md §5j).
-	streamCounters []stats.Counters
-	// lastStream is the stream of the most recent issue, the default
-	// attribution target for stalls no single warp owns.
+	// streams holds one counter set per stream (Spec.Streams order; one
+	// for a Source spec). It is the run's only event record: the issue
+	// path, the dispatcher, and the memory pipeline charge the issuing
+	// stream's set, and Finish derives the aggregate from them
+	// (DESIGN.md §5j).
+	streams []stats.Counters
+	// counters is the aggregate Finish derives from streams.
+	counters stats.Counters
+	// lastStream is the stream of the most recent issue (tracked on
+	// probed runs only), the default attribution target for stalls no
+	// single warp owns.
 	lastStream int
 	// prof is the attached observability probe, nil when disabled.
 	// Every hook call site is guarded, so a run without a probe does no
@@ -135,8 +138,7 @@ type SM struct {
 	nextEvent int64
 }
 
-// StreamSpec describes one co-resident kernel (stream) of a
-// multi-tenant run.
+// StreamSpec describes one co-resident kernel (stream) of a run.
 type StreamSpec struct {
 	// Name labels the stream in probe output (typically the kernel name).
 	Name string
@@ -150,18 +152,21 @@ type StreamSpec struct {
 // optional fields selects the defaults: Memory nil creates a private
 // single-channel DRAM system (the chip simulator injects a shared one),
 // and Probe nil disables the observability layer entirely.
+//
+// An SM runs one or more kernels (streams) co-resident with CTA slots
+// interleaved round-robin and per-stream counter attribution. Source
+// and ResidentCTAs spell a one-stream run; Streams spells any number.
 type Spec struct {
 	// Config is the local-memory configuration.
 	Config config.MemConfig
 	// Params are the timing parameters (Table 2).
 	Params Params
-	// Source supplies the kernel grid to execute.
+	// Source supplies the grid of a one-stream run.
 	Source TraceSource
-	// ResidentCTAs is the number of concurrent CTA slots.
+	// ResidentCTAs is the one-stream run's number of CTA slots.
 	ResidentCTAs int
-	// Streams runs several kernels co-resident on the SM with CTA slots
-	// interleaved round-robin and per-stream counter attribution.
-	// Mutually exclusive with Source/ResidentCTAs.
+	// Streams lists the co-resident streams. Mutually exclusive with
+	// Source/ResidentCTAs.
 	Streams []StreamSpec
 	// Memory optionally injects a shared memory system.
 	Memory Memory
@@ -202,35 +207,30 @@ func NewSM(spec Spec) (*SM, error) {
 	if s.sched, err = sched.New(params.Scheduler, params.ActiveWarps, params.GreedyScheduler); err != nil {
 		return nil, fmt.Errorf("sm: %w", err)
 	}
-	if len(spec.Streams) > 0 {
-		s.streamCounters = make([]stats.Counters, len(spec.Streams))
-		specs := make([]dispatch.StreamSpec, len(spec.Streams))
-		refs := make([]*stats.Counters, len(spec.Streams))
-		for i, st := range spec.Streams {
-			specs[i] = dispatch.StreamSpec{Source: st.Source, ResidentCTAs: st.ResidentCTAs}
-			refs[i] = &s.streamCounters[i]
-		}
-		if s.disp, err = dispatch.NewMulti(specs, &s.counters, refs); err != nil {
-			return nil, fmt.Errorf("sm: %w", err)
-		}
-		if spec.Probe != nil {
-			names := make([]string, len(spec.Streams))
-			for i, st := range spec.Streams {
-				names[i] = st.Name
-			}
-			spec.Probe.SetStreams(names, refs)
-		}
-	} else if s.disp, err = dispatch.New(spec.Source, spec.ResidentCTAs, &s.counters); err != nil {
+	streams := spec.Streams
+	if spec.Source != nil {
+		streams = []StreamSpec{{Source: spec.Source, ResidentCTAs: spec.ResidentCTAs}}
+	}
+	s.streams = make([]stats.Counters, len(streams))
+	specs := make([]dispatch.StreamSpec, len(streams))
+	names := make([]string, len(streams))
+	for i, st := range streams {
+		specs[i] = dispatch.StreamSpec{Source: st.Source, ResidentCTAs: st.ResidentCTAs, Counters: &s.streams[i]}
+		names[i] = st.Name
+	}
+	if s.disp, err = dispatch.NewMulti(specs); err != nil {
 		return nil, fmt.Errorf("sm: %w", err)
 	}
-	if spec.Probe == nil {
+	if spec.Probe != nil {
+		spec.Probe.SetStreams(names, s.streams)
+	} else {
 		// Unprobed runs replay memoized bank outcomes (an Outcome is a
 		// pure function of instruction and variant); probed runs keep
 		// evaluating so the model's scratch tallies feed the heatmap.
 		s.disp.EnableOutcomes(cfg.Design, params.AggressiveScatter)
 	}
 	s.visit = s.visitWarp
-	s.mem = memsys.New(memConfig(cfg, params), mem, &s.counters)
+	s.mem = memsys.New(memConfig(cfg, params), mem, &s.streams[0])
 	return s, nil
 }
 
@@ -266,7 +266,7 @@ func (s *SM) StartAt(cycle int64) {
 	s.started = true
 	s.cycle = cycle
 	if s.prof != nil {
-		s.prof.Begin(&s.counters, cycle)
+		s.prof.Begin(cycle)
 	}
 	s.disp.Start(cycle)
 }
@@ -295,12 +295,8 @@ func (s *SM) Step() error {
 		nextEvent = s.cycle + 1
 	}
 	if s.prof != nil {
-		if s.streamCounters != nil {
-			reason, stream := s.stallReasonStream()
-			s.prof.StallStream(s.cycle, nextEvent, reason, stream)
-		} else {
-			s.prof.Stall(s.cycle, nextEvent, s.stallReason())
-		}
+		reason, stream := s.stallReason()
+		s.prof.Stall(s.cycle, nextEvent, reason, stream)
 	}
 	s.cycle = nextEvent
 	if s.cycle > cycleBound {
@@ -309,137 +305,92 @@ func (s *SM) Step() error {
 	return nil
 }
 
-// Finish finalizes and returns the counters: execution ends when the last
-// warp exits AND posted tag-port work has drained.
+// Finish finalizes and returns the aggregate counters, derived from the
+// per-stream sets: the additive categories and resident threads sum
+// across streams, and execution ends when the last warp exits AND
+// posted tag-port work has drained. Each stream's Cycles is the cycle
+// its own last warp exited.
 func (s *SM) Finish() *stats.Counters {
-	s.counters.Cycles = s.cycle
-	if t := s.mem.TagFreeAt(); t > s.counters.Cycles {
-		s.counters.Cycles = t
+	s.counters = stats.Counters{}
+	resident := 0
+	for i := range s.streams {
+		sc := &s.streams[i]
+		sc.Cycles = s.disp.StreamDoneAt(i)
+		s.counters.Add(sc)
+		resident += sc.MaxResidentThreads
 	}
+	s.counters.MaxResidentThreads = resident
+	s.counters.Cycles = max(s.cycle, s.mem.TagFreeAt())
 	s.counters.DirtyLinesEnd = s.mem.DirtyLines()
-	// A stream's cycle count is the cycle its last warp exited; the
-	// aggregate keeps the SM-wide completion (including tag drain).
-	for i := range s.streamCounters {
-		s.streamCounters[i].Cycles = s.disp.StreamDoneAt(i)
-	}
 	if s.prof != nil {
 		s.prof.End(s.counters.Cycles)
 	}
 	return &s.counters
 }
 
-// StreamCounters returns the per-stream counters of a multi-tenant run
-// (nil for single-kernel specs), indexed by Spec.Streams order. The
-// additive event categories sum exactly to the aggregate counters;
-// Cycles holds each stream's own completion cycle. Call after Finish.
-func (s *SM) StreamCounters() []stats.Counters { return s.streamCounters }
+// StreamCounters returns the per-stream counters, indexed by stream
+// (Spec.Streams order; one entry for a Source spec). The additive event
+// categories sum exactly to the aggregate counters; Cycles holds each
+// stream's own completion cycle. Call after Finish.
+func (s *SM) StreamCounters() []stats.Counters { return s.streams }
 
 // stallReason classifies a failed issue attempt for the observability
-// probe, reading each component at its boundary: active-set occupancy
-// from the scheduler, warp lifecycle counts from the dispatcher, and the
+// probe and names the stream the lost slots are charged to, reading
+// each component at its boundary: active-set occupancy from the
+// scheduler, warp lifecycle counts from the dispatcher, and the
 // MSHR-saturation window from the memory pipeline. Each lost slot is
 // charged to exactly one cause, by fixed priority: barrier > MSHR-full >
-// scoreboard > arbitration > bank-conflict > no-ready-warp. Only probed
-// runs call this, on the (cold) no-issue path.
-func (s *SM) stallReason() probe.StallReason {
+// scoreboard > arbitration > bank-conflict > no-ready-warp. The stream
+// is that of the first warp exhibiting the winning cause, or the
+// last-issuing stream for causes no single warp owns (MSHR saturation,
+// an empty ready set). Only probed runs call this, on the (cold)
+// no-issue path.
+func (s *SM) stallReason() (probe.StallReason, int) {
 	if s.sched.Len() == 0 {
 		barrier, readyLater := s.disp.Counts()
 		if barrier > 0 && readyLater == 0 {
-			return probe.StallBarrier
-		}
-		if s.cycle < s.mem.MSHRBlockedUntil() {
-			return probe.StallMSHRFull
-		}
-		return probe.StallNoReadyWarp
-	}
-	sawDep, sawSerial, sawArb := false, false, false
-	for _, wIdx := range s.sched.Active() {
-		w := s.disp.Warp(wIdx)
-		if w.NextIssue > s.cycle {
-			// The warp holds its own issue stream while bank-conflict
-			// extra cycles of its previous instruction elapse.
-			sawSerial = true
-			if w.ArbStall {
-				sawArb = true
+			for i, n := 0, s.disp.NumWarps(); i < n; i++ {
+				if s.disp.Warp(i).Status == dispatch.Barrier {
+					return probe.StallBarrier, s.disp.Stream(i)
+				}
 			}
-			continue
-		}
-		// An active warp that is not serialized failed on an operand
-		// dependence (long waits were descheduled out of the set).
-		sawDep = true
-	}
-	switch {
-	case s.cycle < s.mem.MSHRBlockedUntil():
-		return probe.StallMSHRFull
-	case sawDep:
-		return probe.StallScoreboard
-	case sawArb:
-		return probe.StallArbitration
-	case sawSerial:
-		return probe.StallBankConflict
-	}
-	return probe.StallNoReadyWarp
-}
-
-// stallReasonStream is stallReason for multi-tenant runs: the same
-// fixed-priority classification, additionally naming the stream the lost
-// slots are charged to — the stream of the first warp exhibiting the
-// winning cause, or the last-issuing stream for causes no single warp
-// owns (MSHR saturation, an empty ready set). It is a separate function
-// so the single-stream classifier stays untouched on the common path.
-func (s *SM) stallReasonStream() (probe.StallReason, int) {
-	if s.sched.Len() == 0 {
-		barrier, readyLater := s.disp.Counts()
-		if barrier > 0 && readyLater == 0 {
-			return probe.StallBarrier, s.barrierStream()
 		}
 		if s.cycle < s.mem.MSHRBlockedUntil() {
 			return probe.StallMSHRFull, s.lastStream
 		}
 		return probe.StallNoReadyWarp, s.lastStream
 	}
-	sawDep, sawSerial, sawArb := false, false, false
-	depStream, serialStream, arbStream := 0, 0, 0
+	depStream, serialStream, arbStream := -1, -1, -1
 	for _, wIdx := range s.sched.Active() {
 		w := s.disp.Warp(wIdx)
 		if w.NextIssue > s.cycle {
-			if !sawSerial {
+			// The warp holds its own issue stream while bank-conflict
+			// extra cycles of its previous instruction elapse.
+			if serialStream < 0 {
 				serialStream = s.disp.Stream(wIdx)
 			}
-			sawSerial = true
-			if w.ArbStall && !sawArb {
+			if w.ArbStall && arbStream < 0 {
 				arbStream = s.disp.Stream(wIdx)
-				sawArb = true
 			}
 			continue
 		}
-		if !sawDep {
+		// An active warp that is not serialized failed on an operand
+		// dependence (long waits were descheduled out of the set).
+		if depStream < 0 {
 			depStream = s.disp.Stream(wIdx)
 		}
-		sawDep = true
 	}
 	switch {
 	case s.cycle < s.mem.MSHRBlockedUntil():
 		return probe.StallMSHRFull, s.lastStream
-	case sawDep:
+	case depStream >= 0:
 		return probe.StallScoreboard, depStream
-	case sawArb:
+	case arbStream >= 0:
 		return probe.StallArbitration, arbStream
-	case sawSerial:
+	case serialStream >= 0:
 		return probe.StallBankConflict, serialStream
 	}
 	return probe.StallNoReadyWarp, s.lastStream
-}
-
-// barrierStream returns the stream of the first warp blocked at a CTA
-// barrier, the attribution target for barrier stalls.
-func (s *SM) barrierStream() int {
-	for i, n := 0, s.disp.NumWarps(); i < n; i++ {
-		if s.disp.Warp(i).Status == dispatch.Barrier {
-			return s.disp.Stream(i)
-		}
-	}
-	return s.lastStream
 }
 
 // Run executes the grid to completion and returns the event counters.
@@ -558,48 +509,27 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 	} else {
 		out = s.bankModel.Evaluate(wi)
 	}
-	// sc is the issuing warp's per-stream counter set, nil on
-	// single-kernel runs: direct charges below are duplicated into it,
-	// and the memory-system counters it cannot observe directly are
-	// attributed by delta around the op dispatch.
-	var sc *stats.Counters
-	if s.streamCounters != nil {
-		stream := s.disp.Stream(wIdx)
-		sc = &s.streamCounters[stream]
-		s.lastStream = stream
-		if s.prof != nil {
-			s.prof.IssueStream(s.cycle, stream)
-		}
-	} else if s.prof != nil {
-		s.prof.Issue(s.cycle)
-	}
+	// Every event of the instruction is charged to the issuing warp's
+	// stream.
+	stream := s.disp.Stream(wIdx)
+	sc := &s.streams[stream]
 	if s.prof != nil {
+		s.lastStream = stream
+		s.prof.Issue(s.cycle, stream)
 		acc, conf := s.prof.Heat()
 		s.bankModel.HeatInto(acc, conf)
 	}
 	w.ArbStall = out.Arbitration && out.ExtraCycles > 0
-	s.counters.WarpInsts++
-	s.counters.ThreadInsts += int64(wi.ActiveThreads())
+	sc.WarpInsts++
+	sc.ThreadInsts += int64(wi.ActiveThreads())
 	if wi.Spill {
-		s.counters.SpillInsts++
+		sc.SpillInsts++
 	}
-	s.counters.RecordConflict(out.MaxPerBank)
+	sc.RecordConflict(out.MaxPerBank)
 	if out.Arbitration {
-		s.counters.ArbitrationConflicts++
+		sc.ArbitrationConflicts++
 	}
-	s.counters.RecordRegAccesses(wi)
-	if sc != nil {
-		sc.WarpInsts++
-		sc.ThreadInsts += int64(wi.ActiveThreads())
-		if wi.Spill {
-			sc.SpillInsts++
-		}
-		sc.RecordConflict(out.MaxPerBank)
-		if out.Arbitration {
-			sc.ArbitrationConflicts++
-		}
-		sc.RecordRegAccesses(wi)
-	}
+	sc.RecordRegAccesses(wi)
 
 	// Bank-conflict serialization follows the paper's §6.1 model: each
 	// access beyond the first to the most-contended bank delays *this*
@@ -611,16 +541,6 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 	s.slotFreeAt = s.cycle + 1
 	w.NextIssue = s.cycle + 1 + extra
 
-	// Memory-system events (shared memory, cache, DRAM) land in the
-	// aggregate counters inside the op dispatch; per-stream attribution
-	// captures them as a before/after delta. BAR and EXIT return early
-	// without touching any of these fields, so skipping their delta is
-	// exact.
-	var memSnap memCounterSnap
-	if sc != nil {
-		memSnap = snapMemCounters(&s.counters)
-	}
-
 	complete := s.cycle + 1
 	switch wi.Op {
 	case isa.OpALU, isa.OpNop:
@@ -629,11 +549,12 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 		complete = s.cycle + s.params.SFULatency + extra
 	case isa.OpLDS:
 		complete = s.cycle + s.params.SharedLatency + extra
-		s.counters.SharedReads += int64(out.MemAccesses)
+		sc.SharedReads += int64(out.MemAccesses)
 	case isa.OpSTS:
-		s.counters.SharedWrites += int64(out.MemAccesses)
+		sc.SharedWrites += int64(out.MemAccesses)
 	case isa.OpLDG:
 		var accs []memsys.Access
+		s.mem.SetCounters(sc)
 		complete, accs = s.mem.Load(wi, s.cycle, extra)
 		if s.prof != nil {
 			for i := range accs {
@@ -641,8 +562,10 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 			}
 		}
 	case isa.OpSTG:
+		s.mem.SetCounters(sc)
 		s.mem.Store(wi, s.cycle, extra)
 	case isa.OpTEX:
+		s.mem.SetCounters(sc)
 		complete = s.mem.Tex(wi, s.cycle)
 	case isa.OpBAR:
 		s.disp.Barrier(wIdx, s.cycle)
@@ -652,10 +575,6 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 		return sched.IssuedGone
 	}
 
-	if sc != nil {
-		memSnap.deltaInto(sc, &s.counters)
-	}
-
 	if wi.Dst.Reg != isa.NoReg {
 		if complete > w.RegReady[wi.Dst.Reg] {
 			w.RegReady[wi.Dst.Reg] = complete
@@ -663,39 +582,6 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 	}
 	w.PC++
 	return sched.Issued
-}
-
-// memCounterSnap freezes the memory-system counter fields one warp
-// instruction can mutate, so issue can attribute their growth to the
-// issuing warp's stream.
-type memCounterSnap struct {
-	sharedReads, sharedWrites           int64
-	cacheProbes, cacheHits, cacheMisses int64
-	cacheDataReads, cacheDataWrites     int64
-	dramReadBytes, dramWriteBytes       int64
-}
-
-func snapMemCounters(c *stats.Counters) memCounterSnap {
-	return memCounterSnap{
-		sharedReads: c.SharedReads, sharedWrites: c.SharedWrites,
-		cacheProbes: c.CacheProbes, cacheHits: c.CacheHits, cacheMisses: c.CacheMisses,
-		cacheDataReads: c.CacheDataReads, cacheDataWrites: c.CacheDataWrites,
-		dramReadBytes: c.DRAMReadBytes, dramWriteBytes: c.DRAMWriteBytes,
-	}
-}
-
-// deltaInto adds the growth of the aggregate counters since the snapshot
-// to the stream counters sc.
-func (m *memCounterSnap) deltaInto(sc, c *stats.Counters) {
-	sc.SharedReads += c.SharedReads - m.sharedReads
-	sc.SharedWrites += c.SharedWrites - m.sharedWrites
-	sc.CacheProbes += c.CacheProbes - m.cacheProbes
-	sc.CacheHits += c.CacheHits - m.cacheHits
-	sc.CacheMisses += c.CacheMisses - m.cacheMisses
-	sc.CacheDataReads += c.CacheDataReads - m.cacheDataReads
-	sc.CacheDataWrites += c.CacheDataWrites - m.cacheDataWrites
-	sc.DRAMReadBytes += c.DRAMReadBytes - m.dramReadBytes
-	sc.DRAMWriteBytes += c.DRAMWriteBytes - m.dramWriteBytes
 }
 
 // DirtyCacheLines returns the number of modified lines resident in the

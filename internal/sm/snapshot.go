@@ -25,7 +25,7 @@ func (s *SM) Snapshot() (*snapshot.State, error) {
 	if s.dramModel == nil {
 		return nil, fmt.Errorf("sm: cannot snapshot an SM with injected shared memory")
 	}
-	if s.streamCounters != nil {
+	if len(s.streams) > 1 {
 		return nil, fmt.Errorf("sm: multi-tenant runs do not snapshot (streams are prefix-defining)")
 	}
 	return &snapshot.State{
@@ -35,7 +35,7 @@ func (s *SM) Snapshot() (*snapshot.State, error) {
 		Cycle:      s.cycle,
 		SlotFreeAt: s.slotFreeAt,
 		Started:    s.started,
-		Counters:   s.counters,
+		Counters:   s.streams[0],
 		Sched:      s.sched.Snapshot(),
 		Disp:       s.disp.Snapshot(),
 		Mem:        s.mem.Snapshot(),
@@ -56,8 +56,8 @@ func (s *SM) Snapshot() (*snapshot.State, error) {
 //
 // Fork only reads st, so any number of forks — concurrent ones included
 // — can share one snapshot. A probed snapshot must be forked with
-// spec.Probe set to a probe built by probe.Restore from st.Probe; Fork
-// rebinds it to the new SM's counters.
+// spec.Probe set to a probe built by probe.Restore from st.Probe, which
+// then observes the new SM's counters.
 func Fork(spec Spec, st *snapshot.State) (*SM, error) {
 	if spec.Memory != nil {
 		return nil, fmt.Errorf("sm: cannot fork onto injected shared memory")
@@ -78,7 +78,7 @@ func Fork(spec Spec, st *snapshot.State) (*SM, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.counters = st.Counters
+	s.streams[0] = st.Counters
 	s.cycle = st.Cycle
 	s.slotFreeAt = st.SlotFreeAt
 	s.started = st.Started
@@ -92,9 +92,6 @@ func Fork(spec Spec, st *snapshot.State) (*SM, error) {
 		return nil, fmt.Errorf("sm: fork: %w", err)
 	}
 	s.dramModel.Restore(st.DRAM)
-	if s.prof != nil {
-		s.prof.Rebind(&s.counters)
-	}
 	return s, nil
 }
 

@@ -207,7 +207,9 @@ func (s *Store) Stats() Stats {
 // WriteFileAtomic writes data to path via a same-directory temporary
 // file and rename, creating parent directories as needed. A crash at
 // any point leaves either the old content or the new, never a torn
-// file. The job engine reuses it for its job records.
+// file; the file and then its directory are synced, so a returned nil
+// means the rename survives power loss. The job engine reuses it for
+// its job records.
 func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -229,5 +231,23 @@ func WriteFileAtomic(path string, data []byte) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir flushes a directory's entries (a completed rename) to stable
+// storage. It is a variable so tests can count calls and inject
+// failures.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -157,5 +158,53 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Errorf("dir has %d entries, want 1 (temp files must not leak)", len(entries))
+	}
+}
+
+// TestWriteFileAtomicSyncsDirectory checks that every atomic write
+// syncs the renamed file's directory, and that Put surfaces a failed
+// directory sync instead of reporting a durable write.
+func TestWriteFileAtomicSyncsDirectory(t *testing.T) {
+	orig := syncDir
+	defer func() { syncDir = orig }()
+	var synced []string
+	var fail error
+	syncDir = func(dir string) error {
+		synced = append(synced, dir)
+		if fail != nil {
+			return fail
+		}
+		return orig(dir)
+	}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sub", "f.json")
+	if err := WriteFileAtomic(path, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if len(synced) != 1 || synced[0] != filepath.Dir(path) {
+		t.Fatalf("synced %v, want exactly the parent directory %s", synced, filepath.Dir(path))
+	}
+
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail = errors.New("injected directory sync failure")
+	if err := st.Put(key("a"), []byte("body")); !errors.Is(err, fail) {
+		t.Fatalf("Put = %v, want the injected sync failure", err)
+	}
+	if got := st.Stats().Errors; got != 1 {
+		t.Errorf("Errors = %d, want 1", got)
+	}
+	if st.Len() != 0 {
+		t.Errorf("a Put whose directory sync failed must not be indexed")
+	}
+	fail = nil
+	if err := st.Put(key("a"), []byte("body")); err != nil {
+		t.Fatalf("Put after recovery: %v", err)
+	}
+	if len(synced) != 3 {
+		t.Errorf("%d directory syncs, want 3", len(synced))
 	}
 }
