@@ -16,23 +16,34 @@ import (
 	"repro/internal/isa"
 )
 
-// Outcome summarizes the bank behaviour of one warp instruction.
+// Outcome summarizes the bank behaviour of one warp instruction. Its
+// fields are byte-sized: an instruction's worst bank or port holds at
+// most its three MRF operand reads plus one access per lane (see
+// maxAccesses), so an Outcome costs 4 bytes in the trace cache's
+// per-instruction memo.
 type Outcome struct {
 	// MaxPerBank is the maximum number of accesses any single bank (or,
 	// in the unified design, any single cluster port) received. Table 5
 	// buckets this value.
-	MaxPerBank int
+	MaxPerBank uint8
 	// ExtraCycles is the issue serialization penalty: MaxPerBank - 1
 	// (zero for conflict-free instructions).
-	ExtraCycles int
+	ExtraCycles uint8
 	// Arbitration reports that, in the unified design, a register operand
 	// read and a shared/cache data access contended for the same bank.
 	Arbitration bool
 	// MemAccesses is the number of distinct memory bank granules touched
 	// (shared-memory words/granules or cache lines); used for access-energy
 	// and throughput accounting.
-	MemAccesses int
+	MemAccesses uint8
 }
+
+// maxAccesses bounds MaxPerBank: three MRF sources on one bank slot plus
+// every lane on one bank. The array below fails to compile if the bound
+// outgrows Outcome's byte-sized fields.
+const maxAccesses = 3 + isa.WarpSize
+
+var _ [255 - maxAccesses]struct{}
 
 // Model evaluates bank conflicts for one design. A Model holds scratch
 // buffers and is not safe for concurrent use; each simulated SM owns one.
@@ -130,17 +141,14 @@ func (m *Model) Evaluate(wi *isa.WarpInst) Outcome {
 		}
 	}
 
-	out := Outcome{MemAccesses: memAccesses}
+	worst, arbitration := 0, false
 	if m.unified() {
 		// Shared banks: register and memory accesses sum per bank, and
 		// shared/cache traffic also contends for the per-cluster port.
 		for b := 0; b < config.NumBanks; b++ {
-			total := int(m.bankReg[b]) + int(m.bankMem[b])
-			if total > out.MaxPerBank {
-				out.MaxPerBank = total
-			}
+			worst = max(worst, int(m.bankReg[b])+int(m.bankMem[b]))
 			if m.bankReg[b] > 0 && m.bankMem[b] > 0 {
-				out.Arbitration = true
+				arbitration = true
 			}
 		}
 		if !m.aggressive {
@@ -150,27 +158,22 @@ func (m *Model) Evaluate(wi *isa.WarpInst) Outcome {
 			// any bank onto the port, leaving only true per-bank
 			// conflicts (counted above).
 			for c := 0; c < config.NumClusters; c++ {
-				if int(m.port[c]) > out.MaxPerBank {
-					out.MaxPerBank = int(m.port[c])
-				}
+				worst = max(worst, int(m.port[c]))
 			}
 		}
 	} else {
 		// Disjoint structures: the worst bank of either space decides.
 		for b := 0; b < config.NumBanks; b++ {
-			if int(m.bankReg[b]) > out.MaxPerBank {
-				out.MaxPerBank = int(m.bankReg[b])
-			}
-			if int(m.bankMem[b]) > out.MaxPerBank {
-				out.MaxPerBank = int(m.bankMem[b])
-			}
+			worst = max(worst, int(m.bankReg[b]), int(m.bankMem[b]))
 		}
 	}
-	if out.MaxPerBank < 1 {
-		out.MaxPerBank = 1
+	worst = max(worst, 1)
+	return Outcome{
+		MaxPerBank:  uint8(worst),
+		ExtraCycles: uint8(worst - 1),
+		Arbitration: arbitration,
+		MemAccesses: uint8(memAccesses),
 	}
-	out.ExtraCycles = out.MaxPerBank - 1
-	return out
 }
 
 // HeatInto adds the bank footprint of the most recently Evaluated

@@ -2,6 +2,7 @@ package banks
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -224,5 +225,61 @@ func TestEvaluateNeverReturnsZeroMax(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestOutcomeFieldsHoldWorstCase pins the byte-sized Outcome fields to
+// the worst instruction the model can see: three MRF sources on one
+// bank slot plus all 32 lanes on one bank (a shared access), and the
+// same sources with 32 distinct lines (a global access). Under every
+// design and scatter variant the counts must fit their field types and
+// equal the values the model computed when the fields were ints.
+func TestOutcomeFieldsHoldWorstCase(t *testing.T) {
+	var oneBank, distinctLines isa.AddrVec
+	for lane := range oneBank {
+		// Stride 512 B: one partitioned word bank and, in the unified
+		// design, one cluster and one bank slot.
+		oneBank[lane] = uint32(lane) * 512
+		distinctLines[lane] = uint32(lane) * config.CacheLineBytes
+	}
+	type counts struct{ maxPerBank, extra, mem int }
+	cases := []struct {
+		op                   isa.Op
+		addrs                *isa.AddrVec
+		partitioned, unified counts
+	}{
+		{isa.OpLDS, &oneBank, counts{32, 31, 32}, counts{35, 34, 32}},
+		{isa.OpLDG, &distinctLines, counts{3, 2, 32}, counts{4, 3, 32}},
+	}
+	for _, c := range cases {
+		for _, d := range []config.Design{config.Partitioned, config.Unified, config.FermiLike} {
+			for _, aggressive := range []bool{false, true} {
+				m := New(d)
+				if aggressive {
+					m = NewAggressive(d)
+				}
+				out := m.Evaluate(withMRFSrcs(sharedInst(c.op, c.addrs), 0, 4, 8))
+				want := c.partitioned
+				if d == config.Unified {
+					want = c.unified
+				}
+				v := reflect.ValueOf(out)
+				for _, f := range []struct {
+					name string
+					want int
+				}{{"MaxPerBank", want.maxPerBank}, {"ExtraCycles", want.extra}, {"MemAccesses", want.mem}} {
+					field := v.FieldByName(f.name)
+					if field.OverflowUint(uint64(f.want)) {
+						t.Errorf("%v %v aggressive=%v: %s = %d overflows %s", c.op, d, aggressive, f.name, f.want, field.Type())
+					}
+					if got := int(field.Uint()); got != f.want {
+						t.Errorf("%v %v aggressive=%v: %s = %d, want %d", c.op, d, aggressive, f.name, got, f.want)
+					}
+				}
+				if want := d == config.Unified; out.Arbitration != want {
+					t.Errorf("%v %v aggressive=%v: Arbitration = %v, want %v", c.op, d, aggressive, out.Arbitration, want)
+				}
+			}
+		}
 	}
 }

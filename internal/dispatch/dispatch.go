@@ -22,6 +22,7 @@ import (
 	"repro/internal/banks"
 	"repro/internal/config"
 	"repro/internal/isa"
+	"repro/internal/memsys"
 	"repro/internal/stats"
 )
 
@@ -45,13 +46,22 @@ type OutcomeSource interface {
 	WarpOutcomes(cta, warp int, design config.Design, aggressive bool) []banks.Outcome
 }
 
+// LineSource is an optional TraceSource extension: a source that can
+// additionally supply each warp's memoized coalesced global-memory lines
+// (memsys.Lines; the trace cache in internal/workloads builds them). The
+// arena must be index-aligned with the warp's trace and immutable.
+type LineSource interface {
+	TraceSource
+	WarpLines(cta, warp int) memsys.Lines
+}
+
 // Status is a warp's lifecycle state.
 type Status uint8
 
 const (
 	// Idle: the slot is unoccupied.
 	Idle Status = iota
-	// Ready: eligible for the active set at WakeAt.
+	// Ready: eligible for the active set at its wake cycle (ReadyAt).
 	Ready
 	// Active: in the scheduler's active set.
 	Active
@@ -72,12 +82,14 @@ type Warp struct {
 	// (see OutcomeSource); the timing core then skips the per-issue
 	// conflict evaluation. Probed runs leave it unused.
 	Outcomes []banks.Outcome
-	PC       int
+	// Lines, when non-nil, holds the memoized coalesced lines of each
+	// Trace instruction (see LineSource); the memory pipeline then walks
+	// them instead of coalescing per issue.
+	Lines memsys.Lines
+	PC    int
 	// NextIssue serializes the warp's own issue stream while the
 	// bank-conflict extra cycles of its previous instruction elapse.
 	NextIssue int64
-	// WakeAt is the cycle a Ready warp becomes eligible for promotion.
-	WakeAt int64
 	// RegReady is the per-register scoreboard: the cycle each
 	// architectural register's pending value arrives.
 	RegReady [isa.MaxRegs]int64
@@ -113,9 +125,11 @@ type StreamSpec struct {
 // streamState is one stream's launch bookkeeping.
 type streamState struct {
 	src TraceSource
-	// outSrc mirrors Dispatcher.outSrc per stream (each stream has its
-	// own trace source and therefore its own outcome memoization).
+	// outSrc is the stream's outcome memo once EnableOutcomes accepts
+	// it; lineSrc is its lines memo, when the source has one. Each
+	// stream has its own trace source and therefore its own memos.
 	outSrc    OutcomeSource
+	lineSrc   LineSource
 	nextCTA   int // next grid CTA of this stream to launch
 	totalCTAs int
 	warpsPer  int
@@ -154,7 +168,19 @@ type Dispatcher struct {
 	// slot. MaxWarpsPerSM <= 64 keeps every slot in one word (checked
 	// at compile time below).
 	readyMask uint64
+	// wake holds each Ready warp's wake cycle, densely, so wake queries
+	// touch one small array instead of a cache line per Warp. Entries
+	// of warps outside readyMask are stale and never read.
+	wake []int64
+	// minWake is the earliest wake over the ready set (noWake when it is
+	// empty) unless minStale: Activate marks it stale when the warp
+	// holding it leaves, and minReadyWake rescans on the next query.
+	minWake  int64
+	minStale bool
 }
+
+// noWake is the wake-query answer when no wake cycle qualifies.
+const noWake = int64(1) << 62
 
 // readyMask must cover every possible warp slot.
 var _ [64 - config.MaxWarpsPerSM]struct{}
@@ -175,7 +201,7 @@ func NewMulti(specs []StreamSpec) (*Dispatcher, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("dispatch: need at least one stream")
 	}
-	d := &Dispatcher{streams: make([]streamState, len(specs))}
+	d := &Dispatcher{streams: make([]streamState, len(specs)), minWake: noWake}
 	totalWarps, maxResident := 0, 0
 	for i, sp := range specs {
 		if sp.Source == nil || sp.Counters == nil {
@@ -190,6 +216,7 @@ func NewMulti(specs []StreamSpec) (*Dispatcher, error) {
 		}
 		st := &d.streams[i]
 		st.src = sp.Source
+		st.lineSrc, _ = sp.Source.(LineSource)
 		st.totalCTAs = totalCTAs
 		st.warpsPer = warpsPer
 		st.doneAt = -1
@@ -204,6 +231,7 @@ func NewMulti(specs []StreamSpec) (*Dispatcher, error) {
 			len(specs), totalWarps, config.MaxWarpsPerSM)
 	}
 	d.warps = make([]Warp, totalWarps)
+	d.wake = make([]int64, totalWarps)
 	d.streamOf = make([]int, totalWarps)
 	base := 0
 	for round := 0; round < maxResident; round++ {
@@ -278,19 +306,49 @@ func (d *Dispatcher) launch(slot int, cycle int64) {
 	for i, wIdx := range c.warps {
 		w := &d.warps[wIdx]
 		*w = Warp{
-			Status:  Ready,
 			CTASlot: slot,
 			Trace:   st.src.WarpTrace(c.id, i),
-			WakeAt:  cycle,
 		}
-		if st.outSrc != nil {
-			w.Outcomes = st.outSrc.WarpOutcomes(c.id, i, d.design, d.aggressive)
-		}
+		d.resolveMemos(st, w, c.id, i)
+		d.ready(wIdx, cycle)
 		d.liveWarps++
 		st.liveWarps++
-		d.readyMask |= 1 << uint(wIdx)
 	}
 	st.c.ThreadsRun += int64(st.warpsPer) * isa.WarpSize
+}
+
+// resolveMemos attaches the stream source's memoized bank outcomes and
+// coalesced lines of warp (cta, warp) to w, or detaches them when the
+// dispatcher does not use them.
+func (d *Dispatcher) resolveMemos(st *streamState, w *Warp, cta, warp int) {
+	w.Outcomes, w.Lines = nil, nil
+	if st.outSrc != nil {
+		w.Outcomes = st.outSrc.WarpOutcomes(cta, warp, d.design, d.aggressive)
+	}
+	if st.lineSrc != nil {
+		w.Lines = st.lineSrc.WarpLines(cta, warp)
+	}
+}
+
+// ready puts warp w in the Ready state, eligible for promotion at wake.
+func (d *Dispatcher) ready(w int, wake int64) {
+	d.warps[w].Status = Ready
+	d.wake[w] = wake
+	d.readyMask |= 1 << uint(w)
+	d.minWake = min(d.minWake, wake)
+}
+
+// minReadyWake returns the earliest wake over the ready set, or noWake
+// when the set is empty. It rescans the dense wake array only when the
+// cached minimum went stale.
+func (d *Dispatcher) minReadyWake() int64 {
+	if d.minStale {
+		d.minWake, d.minStale = noWake, false
+		for m := d.readyMask; m != 0; m &= m - 1 {
+			d.minWake = min(d.minWake, d.wake[bits.TrailingZeros64(m)])
+		}
+	}
+	return d.minWake
 }
 
 // Done reports whether every warp of the grid has exited.
@@ -311,35 +369,43 @@ func (d *Dispatcher) ReadyAt(w int) (int64, bool) {
 	if d.warps[w].Status != Ready {
 		return 0, false
 	}
-	return d.warps[w].WakeAt, true
+	return d.wake[w], true
 }
 
 // MinReady returns the Ready warp with the oldest wake cycle at or
 // before now, lowest slot index breaking ties — the promotion rule of
-// the two-level scheduler (the sched.Pool view). It walks only the
-// ready warps via the ready bitmask.
+// the two-level scheduler (the sched.Pool view). When no ready warp is
+// due it answers from the cached minimum; otherwise the winner is the
+// lowest-slot ready warp holding that minimum.
 func (d *Dispatcher) MinReady(now int64) (w int, ok bool) {
-	best, bestWake := -1, int64(0)
-	for m := d.readyMask; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		if wake := d.warps[i].WakeAt; wake <= now && (best < 0 || wake < bestWake) {
-			best, bestWake = i, wake
+	earliest := d.minReadyWake()
+	if earliest > now {
+		return -1, false
+	}
+	for m := d.readyMask; ; m &= m - 1 {
+		if i := bits.TrailingZeros64(m); d.wake[i] == earliest {
+			return i, true
 		}
 	}
-	return best, best >= 0
 }
 
 // MinFutureWake returns the earliest wake cycle strictly after now among
 // Ready warps, or int64(1)<<62 when there is none — the timing core's
-// next-event candidate for warp wake-ups.
+// next-event candidate for warp wake-ups. It is the cached minimum
+// unless a due warp still waits for an active-set slot; only then does
+// it scan the dense wake array.
 func (d *Dispatcher) MinFutureWake(now int64) int64 {
-	min := int64(1) << 62
+	earliest := d.minReadyWake()
+	if earliest > now {
+		return earliest
+	}
+	future := noWake
 	for m := d.readyMask; m != 0; m &= m - 1 {
-		if wake := d.warps[bits.TrailingZeros64(m)].WakeAt; wake > now && wake < min {
-			min = wake
+		if wake := d.wake[bits.TrailingZeros64(m)]; wake > now && wake < future {
+			future = wake
 		}
 	}
-	return min
+	return future
 }
 
 // Activate marks warp w as entering the scheduler's active set (the
@@ -347,17 +413,16 @@ func (d *Dispatcher) MinFutureWake(now int64) int64 {
 func (d *Dispatcher) Activate(w int) {
 	d.warps[w].Status = Active
 	d.readyMask &^= 1 << uint(w)
+	if d.wake[w] == d.minWake {
+		d.minStale = true
+	}
 }
 
 // Park returns an active warp to the Ready state to wait out a
 // long-latency dependence, eligible for promotion again at wake (the
 // two-level scheduler's deschedule rule). The caller removes the warp
 // from the active set.
-func (d *Dispatcher) Park(w int, wake int64) {
-	d.warps[w].Status = Ready
-	d.warps[w].WakeAt = wake
-	d.readyMask |= 1 << uint(w)
-}
+func (d *Dispatcher) Park(w int, wake int64) { d.ready(w, wake) }
 
 // Barrier blocks warp wIdx at its CTA barrier (advancing its PC past the
 // BAR instruction); when it is the last live warp to arrive, the whole
@@ -378,11 +443,8 @@ func (d *Dispatcher) Barrier(wIdx int, now int64) {
 // release wakes every barrier-blocked warp of the CTA.
 func (d *Dispatcher) release(c *ctaSlot, now int64) {
 	for _, idx := range c.warps {
-		ww := &d.warps[idx]
-		if ww.Status == Barrier {
-			ww.Status = Ready
-			ww.WakeAt = now + 1
-			d.readyMask |= 1 << uint(idx)
+		if d.warps[idx].Status == Barrier {
+			d.ready(idx, now+1)
 		}
 	}
 }
@@ -398,6 +460,7 @@ func (d *Dispatcher) Exit(wIdx int, now int64) {
 	w.Status = Done
 	w.Trace = nil
 	w.Outcomes = nil
+	w.Lines = nil
 	d.liveWarps--
 	st.liveWarps--
 	c.liveWarps--
@@ -429,10 +492,13 @@ func (d *Dispatcher) Stream(w int) int { return d.streamOf[w] }
 // sched.StreamPool view): the stream's Ready warp with the oldest wake
 // at or before now, lowest slot index breaking ties.
 func (d *Dispatcher) MinReadyOf(now int64, stream int) (w int, ok bool) {
+	if d.minReadyWake() > now {
+		return -1, false
+	}
 	best, bestWake := -1, int64(0)
 	for m := d.readyMask & d.streams[stream].mask; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		if wake := d.warps[i].WakeAt; wake <= now && (best < 0 || wake < bestWake) {
+		if wake := d.wake[i]; wake <= now && (best < 0 || wake < bestWake) {
 			best, bestWake = i, wake
 		}
 	}

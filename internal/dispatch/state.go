@@ -15,14 +15,15 @@ type CTAState struct {
 }
 
 // State is a frozen image of the dispatcher: every warp slot, every CTA
-// slot, the grid launch cursor, and the ready bitmask.
+// slot, the grid launch cursor, the ready bitmask, and the wake cycles.
 //
 // Warp entries are value copies, which deep-copies the per-register
-// scoreboard (an array) but shares the Trace and Outcomes slices — those
-// are immutable by the TraceSource contract (the workloads trace cache
-// memoizes them process-wide), so sharing them across any number of
-// forks is the copy-on-write half of the snapshot design: a 64-warp
-// snapshot costs a few KB of mutable state, never the traces.
+// scoreboard (an array) but shares the Trace, Outcomes, and Lines
+// slices — those are immutable by the TraceSource contract (the
+// workloads trace cache memoizes them process-wide), so sharing them
+// across any number of forks is the copy-on-write half of the snapshot
+// design: a 64-warp snapshot costs a few KB of mutable state, never the
+// traces.
 type State struct {
 	Warps []Warp
 	CTAs  []CTAState
@@ -33,6 +34,8 @@ type State struct {
 	WarpsPer  int
 	LiveWarps int
 	ReadyMask uint64
+	// Wake is the dispatcher's dense wake-cycle array.
+	Wake []int64
 }
 
 // Snapshot captures the dispatcher state as an immutable State. It is
@@ -52,6 +55,7 @@ func (d *Dispatcher) Snapshot() *State {
 		WarpsPer:  d.streams[0].warpsPer,
 		LiveWarps: d.liveWarps,
 		ReadyMask: d.readyMask,
+		Wake:      append([]int64(nil), d.wake...),
 	}
 	for i := range d.ctas {
 		st.CTAs[i] = CTAState{ID: d.ctas[i].id, LiveWarps: d.ctas[i].liveWarps, BarWaits: d.ctas[i].barWaits}
@@ -64,17 +68,19 @@ func (d *Dispatcher) Snapshot() *State {
 // can seed any number of forks, concurrently. The grid shape and slot
 // counts must match.
 //
-// Outcome slices are re-resolved rather than trusted: the fork's own
-// outcome configuration (EnableOutcomes, or its absence on probed runs)
-// decides whether each live warp replays memoized bank outcomes, so a
-// snapshot taken by an unprobed parent restores correctly into a probed
-// fork and vice versa.
+// The memos are re-resolved rather than trusted: the fork's own outcome
+// configuration (EnableOutcomes, or its absence on probed runs) decides
+// whether each live warp replays memoized bank outcomes, and the fork's
+// own source whether it walks memoized lines, so a snapshot taken by an
+// unprobed parent restores correctly into a probed fork and vice versa.
+// The cached minimum wake is recomputed from the restored wake array on
+// the first query.
 func (d *Dispatcher) Restore(st *State) error {
 	if len(d.streams) != 1 {
 		return fmt.Errorf("dispatch: multi-stream dispatchers do not restore snapshots (streams are prefix-defining)")
 	}
 	stream := &d.streams[0]
-	if len(st.Warps) != len(d.warps) || len(st.CTAs) != len(d.ctas) {
+	if len(st.Warps) != len(d.warps) || len(st.Wake) != len(d.wake) || len(st.CTAs) != len(d.ctas) {
 		return fmt.Errorf("dispatch: slot shape changed across a snapshot: %d/%d warps, %d/%d CTAs",
 			len(st.Warps), len(d.warps), len(st.CTAs), len(d.ctas))
 	}
@@ -92,6 +98,8 @@ func (d *Dispatcher) Restore(st *State) error {
 	d.liveWarps = st.LiveWarps
 	stream.liveWarps = st.LiveWarps
 	d.readyMask = st.ReadyMask
+	copy(d.wake, st.Wake)
+	d.minStale = true
 	if stream.liveWarps == 0 && stream.nextCTA >= stream.totalCTAs {
 		if stream.doneAt < 0 {
 			stream.doneAt = 0
@@ -104,12 +112,7 @@ func (d *Dispatcher) Restore(st *State) error {
 		if w.Status == Done || w.Status == Idle {
 			continue
 		}
-		if stream.outSrc == nil {
-			w.Outcomes = nil
-			continue
-		}
-		cta := st.CTAs[w.CTASlot]
-		w.Outcomes = stream.outSrc.WarpOutcomes(cta.ID, i%stream.warpsPer, d.design, d.aggressive)
+		d.resolveMemos(stream, w, st.CTAs[w.CTASlot].ID, i%stream.warpsPer)
 	}
 	return nil
 }

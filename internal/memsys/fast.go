@@ -24,9 +24,9 @@ func (m *MemSys) FastLoad(wi *isa.WarpInst, now int64) int64 {
 		m.c.DRAMReadBytes += int64(uncachedGranule * m.distinctAddrs(wi))
 		return now + m.cfg.DRAMLatency
 	}
-	lines, sectors := m.lines(wi, m.lineBuf[:], m.sectorBuf[:])
 	worst := now + m.cfg.CacheLatency
-	for i, line := range lines {
+	for _, p := range m.Coalesce(wi) {
+		line, sectors := unpack(p)
 		m.c.CacheProbes++
 		var hit bool
 		if m.cfg.WriteBack {
@@ -45,7 +45,7 @@ func (m *MemSys) FastLoad(wi *isa.WarpInst, now int64) int64 {
 		} else {
 			m.c.CacheMisses++
 			m.c.CacheDataWrites++ // fill
-			m.c.DRAMReadBytes += int64(popcount8(sectors[i]) * SectorBytes)
+			m.c.DRAMReadBytes += int64(popcount8(sectors) * SectorBytes)
 			if done := now + m.cfg.DRAMLatency; done > worst {
 				worst = done
 			}
@@ -61,9 +61,10 @@ func (m *MemSys) FastStore(wi *isa.WarpInst, now int64) {
 		m.c.DRAMWriteBytes += int64(uncachedGranule * m.distinctAddrs(wi))
 		return
 	}
-	lines, _ := m.lines(wi, m.lineBuf[:], nil)
+	lines := m.Coalesce(wi)
 	if m.cfg.WriteBack {
-		for _, line := range lines {
+		for _, p := range lines {
+			line, _ := unpack(p)
 			m.c.CacheProbes++
 			hit, victimDirty, _ := m.l1.AccessAllocate(line, true)
 			m.c.CacheDataWrites++
@@ -80,7 +81,8 @@ func (m *MemSys) FastStore(wi *isa.WarpInst, now int64) {
 		}
 		return
 	}
-	for _, line := range lines {
+	for _, p := range lines {
+		line, _ := unpack(p)
 		m.c.CacheProbes++
 		if m.l1.Write(line) {
 			m.c.CacheDataWrites++
@@ -92,9 +94,9 @@ func (m *MemSys) FastStore(wi *isa.WarpInst, now int64) {
 // FastTex is the functional TEX: sectored byte accounting at the flat
 // texture-path latency.
 func (m *MemSys) FastTex(wi *isa.WarpInst, now int64) int64 {
-	lines, sectors := m.lines(wi, m.lineBuf[:], m.sectorBuf[:])
-	for i := range lines {
-		m.c.DRAMReadBytes += int64(popcount8(sectors[i]) * SectorBytes)
+	for _, p := range m.Coalesce(wi) {
+		_, sectors := unpack(p)
+		m.c.DRAMReadBytes += int64(popcount8(sectors) * SectorBytes)
 	}
 	return now + m.cfg.TexLatency
 }

@@ -90,9 +90,8 @@ type MemSys struct {
 	// classifier attributes memory waits inside it to MSHR pressure.
 	mshrBlockedUntil int64
 
-	lineBuf   [isa.WarpSize]uint32
-	sectorBuf [isa.WarpSize]uint8
-	accBuf    []Access // reused Load result storage
+	lineBuf [isa.WarpSize]uint32 // Coalesce scratch
+	accBuf  []Access             // reused Load result storage
 }
 
 // New builds a memory pipeline issuing to mem, filing events into c
@@ -177,40 +176,82 @@ func (m *MemSys) distinctAddrs(wi *isa.WarpInst) int {
 // for full 128-byte lines.
 const SectorBytes = 32
 
-// lines collects the distinct cache lines touched by a memory instruction
-// (in lane order) and, in sectors, a parallel bitmask of the 32-byte
-// sectors touched within each line. sectors may be nil when masks are not
-// needed.
-func (m *MemSys) lines(wi *isa.WarpInst, buf []uint32, sectors []uint8) ([]uint32, []uint8) {
-	buf = buf[:0]
-	if sectors != nil {
-		sectors = sectors[:0]
-	}
+// Coalesce appends to dst the distinct cache lines a global memory
+// instruction touches, in lane order of first touch, each packed as
+// line<<SectorBits | sectors, where sectors is the bitmask of the 32-byte
+// sectors the warp touches within the line. It is the pipeline's one
+// coalescer: Load, Store, and Tex run it on the spot, and TraceLines
+// memoizes its output for a whole trace.
+func Coalesce(dst []uint32, wi *isa.WarpInst) []uint32 {
+	start := len(dst)
 	for t := 0; t < isa.WarpSize; t++ {
 		if wi.Mask&(1<<uint(t)) == 0 {
 			continue
 		}
 		line := wi.Addrs[t] / config.CacheLineBytes
-		sector := uint8(1) << (wi.Addrs[t] % config.CacheLineBytes / SectorBytes)
-		dup := false
-		for i, l := range buf {
-			if l == line {
-				dup = true
-				if sectors != nil {
-					sectors[i] |= sector
-				}
-				break
-			}
+		sector := uint32(1) << (wi.Addrs[t] % config.CacheLineBytes / SectorBytes)
+		i := start
+		for i < len(dst) && dst[i]>>SectorBits != line {
+			i++
 		}
-		if !dup {
-			buf = append(buf, line)
-			if sectors != nil {
-				sectors = append(sectors, sector)
-			}
+		if i == len(dst) {
+			dst = append(dst, line<<SectorBits)
+		}
+		dst[i] |= sector
+	}
+	return dst
+}
+
+// SectorBits is the width of the sector mask in a packed line; every
+// sector of a line must fit in it.
+const SectorBits = 4
+
+var _ [1<<SectorBits - 1 - (1<<(config.CacheLineBytes/SectorBytes) - 1)]struct{}
+
+// unpack splits a packed line into its line number and sector mask.
+func unpack(p uint32) (line uint32, sectors uint8) {
+	return p >> SectorBits, uint8(p & (1<<SectorBits - 1))
+}
+
+// Coalesce runs the package Coalesce into the pipeline's scratch
+// buffer, for callers whose trace source does not memoize lines. The
+// result is valid until the next call.
+func (m *MemSys) Coalesce(wi *isa.WarpInst) []uint32 {
+	return Coalesce(m.lineBuf[:0], wi)
+}
+
+// Lines memoizes the coalescing of one warp trace: At(i) is Coalesce's
+// output for instruction i, empty unless the instruction is a global
+// memory access (LDG, STG, TEX). Coalescing depends only on the
+// addresses and the constant line size, so the trace cache builds a
+// Lines once per warp trace and every replay walks it instead of
+// re-coalescing. It is one arena of 32-bit words — len(trace)+1
+// offsets, then the packed lines — so it costs 4 bytes per instruction
+// plus 4 bytes per line.
+type Lines []uint32
+
+// TraceLines coalesces every global memory instruction of a trace.
+func TraceLines(insts []isa.WarpInst) Lines {
+	var buf [isa.WarpSize]uint32
+	size := len(insts) + 1
+	for i := range insts {
+		if insts[i].Op.IsGlobal() {
+			size += len(Coalesce(buf[:0], &insts[i]))
 		}
 	}
-	return buf, sectors
+	l := make(Lines, len(insts)+1, size)
+	for i := range insts {
+		l[i] = uint32(len(l))
+		if insts[i].Op.IsGlobal() {
+			l = Coalesce(l, &insts[i])
+		}
+	}
+	l[len(insts)] = uint32(len(l))
+	return l
 }
+
+// At returns the packed lines of instruction i.
+func (l Lines) At(i int) []uint32 { return l[l[i]:l[i+1]] }
 
 // popcount8 counts set bits in a sector mask.
 func popcount8(x uint8) int { return bits.OnesCount8(x) }
@@ -231,12 +272,17 @@ const uncachedGranule = 16
 // per-line outcomes; the Access slice is the pipeline's own scratch
 // storage, valid until the next Load call.
 func (m *MemSys) Load(wi *isa.WarpInst, now, extra int64) (int64, []Access) {
+	return m.LoadLines(wi, m.Coalesce(wi), now, extra)
+}
+
+// LoadLines is Load over wi's already coalesced lines (Coalesce's
+// output, typically memoized by the trace source).
+func (m *MemSys) LoadLines(wi *isa.WarpInst, lines []uint32, now, extra int64) (int64, []Access) {
 	m.accBuf = m.accBuf[:0]
 	if !m.CacheEnabled() {
 		// No coalescing buffer: per-thread minimum-size transactions.
 		return m.read(now, wi.Addrs[0], uncachedGranule*m.distinctAddrs(wi)), m.accBuf
 	}
-	lines, sectors := m.lines(wi, m.lineBuf[:], m.sectorBuf[:])
 
 	start := now
 	if m.tagFreeAt > start {
@@ -247,7 +293,8 @@ func (m *MemSys) Load(wi *isa.WarpInst, now, extra int64) (int64, []Access) {
 	m.tagFreeAt = start + int64(len(lines)) + extra
 
 	worst := now + m.cfg.CacheLatency
-	for i, line := range lines {
+	for i, p := range lines {
+		line, sectors := unpack(p)
 		lookup := start + int64(i)
 		m.c.CacheProbes++
 		var ready int64
@@ -299,7 +346,7 @@ func (m *MemSys) Load(wi *isa.WarpInst, now, extra int64) (int64, []Access) {
 				m.c.CacheDataReads++
 			} else {
 				// Sectored fill: fetch only the touched 32-byte sectors.
-				ready = m.read(lookup, line*config.CacheLineBytes, popcount8(sectors[i])*SectorBytes)
+				ready = m.read(lookup, line*config.CacheLineBytes, popcount8(sectors)*SectorBytes)
 				m.c.CacheMisses++
 				// The line is already installed; remember when its data
 				// actually arrives.
@@ -307,7 +354,7 @@ func (m *MemSys) Load(wi *isa.WarpInst, now, extra int64) (int64, []Access) {
 				m.c.CacheDataWrites++ // fill
 			}
 		}
-		m.accBuf = append(m.accBuf, Access{Line: line, Sectors: sectors[i], Status: status, Ready: ready})
+		m.accBuf = append(m.accBuf, Access{Line: line, Sectors: sectors, Status: status, Ready: ready})
 		if ready > worst {
 			worst = ready
 		}
@@ -319,12 +366,16 @@ func (m *MemSys) Load(wi *isa.WarpInst, now, extra int64) (int64, []Access) {
 // no-write-allocate (present lines refreshed, absent lines ignored), or
 // write-allocate with dirty-victim writebacks in write-back mode.
 func (m *MemSys) Store(wi *isa.WarpInst, now, extra int64) {
+	m.StoreLines(wi, m.Coalesce(wi), now, extra)
+}
+
+// StoreLines is Store over wi's already coalesced lines.
+func (m *MemSys) StoreLines(wi *isa.WarpInst, lines []uint32, now, extra int64) {
 	if !m.CacheEnabled() {
 		// No coalescing buffer: per-thread minimum-size transactions.
 		m.write(now, wi.Addrs[0], uncachedGranule*m.distinctAddrs(wi))
 		return
 	}
-	lines, _ := m.lines(wi, m.lineBuf[:], nil)
 	start := now
 	if m.tagFreeAt > start {
 		start = m.tagFreeAt
@@ -333,7 +384,8 @@ func (m *MemSys) Store(wi *isa.WarpInst, now, extra int64) {
 	if m.cfg.WriteBack {
 		// Write-allocate: install each line dirty; misses fetch the line
 		// and dirty victims write back. No write-through traffic.
-		for _, line := range lines {
+		for _, p := range lines {
+			line, _ := unpack(p)
 			m.c.CacheProbes++
 			hit, victimDirty, victim := m.l1.AccessAllocate(line, true)
 			m.c.CacheDataWrites++
@@ -350,7 +402,8 @@ func (m *MemSys) Store(wi *isa.WarpInst, now, extra int64) {
 		}
 		return
 	}
-	for _, line := range lines {
+	for _, p := range lines {
+		line, _ := unpack(p)
 		m.c.CacheProbes++
 		if m.l1.Write(line) {
 			m.c.CacheDataWrites++
@@ -364,10 +417,15 @@ func (m *MemSys) Store(wi *isa.WarpInst, now, extra int64) {
 // fixed long-latency DRAM read per distinct line. It returns the cycle
 // the register result is ready.
 func (m *MemSys) Tex(wi *isa.WarpInst, now int64) int64 {
-	lines, sectors := m.lines(wi, m.lineBuf[:], m.sectorBuf[:])
+	return m.TexLines(m.Coalesce(wi), now)
+}
+
+// TexLines is Tex over the instruction's already coalesced lines.
+func (m *MemSys) TexLines(lines []uint32, now int64) int64 {
 	worst := now + m.cfg.TexLatency
-	for i := range lines {
-		done := m.read(now, lines[i]*config.CacheLineBytes, popcount8(sectors[i])*SectorBytes) -
+	for _, p := range lines {
+		line, sectors := unpack(p)
+		done := m.read(now, line*config.CacheLineBytes, popcount8(sectors)*SectorBytes) -
 			m.cfg.DRAMLatency + m.cfg.TexLatency
 		if done > worst {
 			worst = done

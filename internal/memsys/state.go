@@ -16,7 +16,7 @@ import (
 // entries between slots), so a shallow copy would alias a fork's MSHR
 // bookkeeping to the parent's — in-flight fills retired by one run would
 // vanish from, or reappear in, the other. The scratch buffers (lineBuf,
-// sectorBuf, accBuf) hold no cross-call state and are not captured.
+// accBuf) hold no cross-call state and are not captured.
 type State struct {
 	// PendingKeys, PendingVals, PendingUsed, and PendingN are a verbatim
 	// copy of the pending table's open-addressed arrays. Preserving the

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/banks"
-	"repro/internal/dispatch"
 	"repro/internal/isa"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -149,11 +148,10 @@ func (s *SM) fastForward(ctx context.Context, until int64, budget *int) error {
 	for {
 		progressed := false
 		for wIdx := 0; wIdx < n; wIdx++ {
-			w := s.disp.Warp(wIdx)
-			if w.Status != dispatch.Ready || w.WakeAt >= until {
+			now, ready := s.disp.ReadyAt(wIdx)
+			if !ready || now >= until {
 				continue
 			}
-			now := w.WakeAt
 			if now < start {
 				now = start
 			}
@@ -250,7 +248,7 @@ func (s *SM) runWarpFast(ctx context.Context, poll bool, wIdx int, now, until in
 		if wi.Spill {
 			sc.SpillInsts++
 		}
-		sc.RecordConflict(out.MaxPerBank)
+		sc.RecordConflict(int(out.MaxPerBank))
 		if out.Arbitration {
 			sc.ArbitrationConflicts++
 		}

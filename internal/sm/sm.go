@@ -525,7 +525,7 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 	if wi.Spill {
 		sc.SpillInsts++
 	}
-	sc.RecordConflict(out.MaxPerBank)
+	sc.RecordConflict(int(out.MaxPerBank))
 	if out.Arbitration {
 		sc.ArbitrationConflicts++
 	}
@@ -555,7 +555,7 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 	case isa.OpLDG:
 		var accs []memsys.Access
 		s.mem.SetCounters(sc)
-		complete, accs = s.mem.Load(wi, s.cycle, extra)
+		complete, accs = s.mem.LoadLines(wi, s.lines(w, wi), s.cycle, extra)
 		if s.prof != nil {
 			for i := range accs {
 				s.prof.MemAccess(&accs[i])
@@ -563,10 +563,10 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 		}
 	case isa.OpSTG:
 		s.mem.SetCounters(sc)
-		s.mem.Store(wi, s.cycle, extra)
+		s.mem.StoreLines(wi, s.lines(w, wi), s.cycle, extra)
 	case isa.OpTEX:
 		s.mem.SetCounters(sc)
-		complete = s.mem.Tex(wi, s.cycle)
+		complete = s.mem.TexLines(s.lines(w, wi), s.cycle)
 	case isa.OpBAR:
 		s.disp.Barrier(wIdx, s.cycle)
 		return sched.IssuedGone
@@ -582,6 +582,16 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 	}
 	w.PC++
 	return sched.Issued
+}
+
+// lines returns the coalesced lines of the warp's current global memory
+// instruction: the trace source's memo when it supplies one, else the
+// memory pipeline's coalescer run on the spot.
+func (s *SM) lines(w *dispatch.Warp, wi *isa.WarpInst) []uint32 {
+	if w.Lines != nil {
+		return w.Lines.At(w.PC)
+	}
+	return s.mem.Coalesce(wi)
 }
 
 // DirtyCacheLines returns the number of modified lines resident in the

@@ -24,6 +24,15 @@
 // banks.Evaluate (the heatmap needs the model's scratch state); a
 // differential test asserts lookup and evaluation never disagree.
 //
+// The cache also memoizes each warp's coalesced global-memory lines
+// (memsys.Lines: every LDG, STG, and TEX instruction's distinct cache
+// lines and touched-sector masks), which likewise depend only on the
+// addresses. The timing core then walks the precomputed lines instead of
+// re-coalescing 32 addresses per global access, leaving only
+// timing-dependent work in the cycle loop. Both memos are compact — a
+// 4-byte Outcome per instruction and variant, and 4 bytes per
+// instruction plus 4 per line — next to the instructions themselves.
+//
 // Memory is bounded: the cache tracks an approximate byte footprint and
 // flushes itself entirely when it would exceed the budget (entries are
 // rebuilt on demand; in-flight simulations keep their slices). Flushing
@@ -38,6 +47,7 @@ import (
 	"repro/internal/banks"
 	"repro/internal/config"
 	"repro/internal/isa"
+	"repro/internal/memsys"
 )
 
 // traceKey identifies one distinct trace family. Kernel identity is
@@ -67,12 +77,15 @@ func outcomeIndex(design config.Design, aggressive bool) int {
 	return i
 }
 
-// warpEntry memoizes one warp's instruction stream and its per-variant
-// bank outcomes. Each field is built at most once; the built slices are
-// never written again.
+// warpEntry memoizes one warp's instruction stream, its coalesced
+// lines, and its per-variant bank outcomes. Each field is built at most
+// once; the built slices are never written again.
 type warpEntry struct {
 	traceOnce sync.Once
 	insts     []isa.WarpInst
+
+	linesOnce sync.Once
+	lines     memsys.Lines
 
 	outcomes [outcomeVariants]struct {
 		once sync.Once
@@ -155,7 +168,7 @@ func TraceCacheSnapshot() TraceCacheStats {
 }
 
 // DefaultTraceCacheLimit is the default approximate byte budget of the
-// trace cache; the full 14-experiment suite stays well inside it.
+// trace cache; the full 15-experiment suite stays well inside it.
 const DefaultTraceCacheLimit = int64(1) << 31 // 2 GiB
 
 // SetTraceCacheLimit sets the cache's approximate byte budget; reaching
@@ -230,9 +243,14 @@ func (s *Source) key() traceKey {
 }
 
 // cachedWarp returns the memoized entry for one warp, building the
-// instruction stream on first use.
+// instruction stream on first use, and counts the call as a lookup.
 func (s *Source) cachedWarp(cta, warp int) *warpEntry {
 	traceCache.lookups.Add(1)
+	return s.entry(cta, warp)
+}
+
+// entry is cachedWarp without the lookup count.
+func (s *Source) entry(cta, warp int) *warpEntry {
 	e := grid(s.key()).warp(cta, warp)
 	e.traceOnce.Do(func() {
 		traceCache.builds.Add(1)
@@ -258,4 +276,17 @@ func (s *Source) WarpOutcomes(cta, warp int, design config.Design, aggressive bo
 		charge(int64(len(slot.out)) * int64(unsafe.Sizeof(banks.Outcome{})))
 	})
 	return slot.out
+}
+
+// WarpLines returns the memoized coalesced lines of one warp's global
+// memory instructions (see memsys.Lines). The returned arena is shared
+// and immutable; it is index-aligned with WarpTrace(cta, warp). The call
+// rides on the warp's trace lookup and is not counted as one.
+func (s *Source) WarpLines(cta, warp int) memsys.Lines {
+	e := s.entry(cta, warp)
+	e.linesOnce.Do(func() {
+		e.lines = memsys.TraceLines(e.insts)
+		charge(int64(cap(e.lines)) * int64(unsafe.Sizeof(uint32(0))))
+	})
+	return e.lines
 }

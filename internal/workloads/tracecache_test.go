@@ -2,12 +2,14 @@ package workloads
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/banks"
 	"repro/internal/config"
 	"repro/internal/isa"
+	"repro/internal/memsys"
 )
 
 // freshSource returns a Source for the named registry kernel.
@@ -78,9 +80,10 @@ func TestTraceCacheKeyDistinguishesVariants(t *testing.T) {
 	}
 }
 
-// TestTraceCacheConcurrent hammers one kernel's traces and outcome
-// tables from 8 goroutines; under -race this proves the cache is safe,
-// and the pointer comparison proves each entry was built exactly once.
+// TestTraceCacheConcurrent hammers one kernel's traces, outcome tables,
+// and lines memos from 8 goroutines; under -race this proves the cache
+// is safe, and the pointer comparison proves each entry was built
+// exactly once.
 func TestTraceCacheConcurrent(t *testing.T) {
 	ResetTraceCache()
 	src := freshSource(t, "needle")
@@ -91,6 +94,7 @@ func TestTraceCacheConcurrent(t *testing.T) {
 	const goroutines = 8
 	traces := make([][]*isa.WarpInst, goroutines) // per-goroutine first-element pointers
 	outs := make([][]*banks.Outcome, goroutines)
+	lines := make([][]*uint32, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -107,6 +111,12 @@ func TestTraceCacheConcurrent(t *testing.T) {
 						return
 					}
 					outs[g] = append(outs[g], &out[0])
+					l := s.WarpLines(c, w)
+					if len(l) <= len(tr) {
+						t.Errorf("goroutine %d: %d-word lines arena for %d instructions", g, len(l), len(tr))
+						return
+					}
+					lines[g] = append(lines[g], &l[0])
 				}
 			}
 		}(g)
@@ -118,6 +128,9 @@ func TestTraceCacheConcurrent(t *testing.T) {
 		}
 		if !reflect.DeepEqual(outs[0], outs[g]) {
 			t.Errorf("goroutine %d saw different outcome backing arrays than goroutine 0", g)
+		}
+		if !reflect.DeepEqual(lines[0], lines[g]) {
+			t.Errorf("goroutine %d saw different lines backing arrays than goroutine 0", g)
 		}
 	}
 }
@@ -147,6 +160,77 @@ func TestWarpOutcomesMatchEvaluate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWarpLinesMatchCoalescer is the differential check behind the
+// memory pipeline's memoized-lines path: for every registry kernel, with
+// and without spill code, every instruction's memoized lines must equal
+// the coalescer's output (and an independent per-lane reference) for
+// LDG, STG, and TEX, and be empty for every other instruction.
+func TestWarpLinesMatchCoalescer(t *testing.T) {
+	ResetTraceCache()
+	defer ResetTraceCache()
+	globals, spills := 0, 0
+	for _, k := range All() {
+		for _, regs := range []int{0, k.RegsNeeded / 2} {
+			src := &Source{K: k, RegsAvail: regs}
+			_, warps := src.Grid()
+			for w := 0; w < warps; w++ {
+				insts := src.WarpTrace(0, w)
+				lines := src.WarpLines(0, w)
+				if len(lines) < len(insts)+1 {
+					t.Fatalf("%s regs=%d warp %d: arena of %d words for %d instructions", k.Name, regs, w, len(lines), len(insts))
+				}
+				for i := range insts {
+					wi := &insts[i]
+					got := lines.At(i)
+					if !wi.Op.IsGlobal() {
+						if len(got) != 0 {
+							t.Fatalf("%s regs=%d warp %d inst %d (%v): %d memoized lines, want none", k.Name, regs, w, i, wi.Op, len(got))
+						}
+						continue
+					}
+					globals++
+					if wi.Spill {
+						spills++
+					}
+					if want := memsys.Coalesce(nil, wi); !slices.Equal(got, want) {
+						t.Fatalf("%s regs=%d warp %d inst %d: memoized %x, coalescer %x", k.Name, regs, w, i, got, want)
+					}
+					if want := referenceLines(wi); !slices.Equal(got, want) {
+						t.Fatalf("%s regs=%d warp %d inst %d: memoized %x, reference %x", k.Name, regs, w, i, got, want)
+					}
+				}
+			}
+		}
+	}
+	if globals == 0 || spills == 0 {
+		t.Fatalf("checked %d global memory instructions, %d of them spill code; want both > 0", globals, spills)
+	}
+}
+
+// referenceLines coalesces one instruction the slow way: each active
+// lane's line in first-touch order, packed with the OR of the 32-byte
+// sectors its lanes touch.
+func referenceLines(wi *isa.WarpInst) []uint32 {
+	var order []uint32
+	sectors := map[uint32]uint32{}
+	for lane := 0; lane < isa.WarpSize; lane++ {
+		if wi.Mask>>lane&1 == 0 {
+			continue
+		}
+		addr := wi.Addrs[lane]
+		line := addr / config.CacheLineBytes
+		if _, ok := sectors[line]; !ok {
+			order = append(order, line)
+		}
+		sectors[line] |= 1 << (addr % config.CacheLineBytes / memsys.SectorBytes)
+	}
+	var out []uint32
+	for _, line := range order {
+		out = append(out, line<<memsys.SectorBits|sectors[line])
+	}
+	return out
 }
 
 // TestTraceCacheLimitFlush: exceeding the byte budget flushes the cache,
