@@ -5,24 +5,20 @@
 // resource across a range — the generalization of the paper's Figures
 // 2-4 to arbitrary benchmarks and ranges. Parameter sweeps (-resource
 // mshr | dramlat | drambw) vary a timing parameter instead; because
-// timing parameters do not alter the warm-up history, these sweeps warm
-// one simulation prefix to the -warm cycle and fork it copy-on-write
-// into every sweep point, paying the warm-up cost once (see
-// internal/snapshot). Sweep points run in parallel across -j workers;
-// rows print in order regardless of worker count.
+// timing parameters do not alter the warm-up history, -warm N warms one
+// simulation prefix to cycle N and forks it copy-on-write into every
+// sweep point, paying the warm-up cost once (see internal/snapshot).
 //
-// -sample detailed=W,skip=S switches capacity sweeps to sampled
-// simulation (detailed windows alternating with functional
-// fast-forwards): much faster on long grids, with approximate cycle
-// counts — the paper driver's sampling table reports the measured error
-// per workload.
+// The sweep compiles to the same run matrix a sweep job does
+// (internal/runplan) and executes it locally: points run in parallel
+// across -j workers and rows print in order regardless of worker count.
 //
 // -submit URL runs the sweep remotely instead: it submits the sweep as
 // a durable async job to an smserve instance (POST /v1/jobs), reports
-// progress while polling, and renders the same table from the job's
-// result. A server started with -data-dir persists every completed
-// point, so an interrupted sweep resumes where it left off — even
-// across server restarts.
+// progress while polling, and renders the table from the job's result —
+// byte-identical to the local table. A server started with -data-dir
+// persists every completed point, so an interrupted sweep resumes where
+// it left off — even across server restarts.
 //
 // Examples:
 //
@@ -31,7 +27,6 @@
 //	sweep -kernel needle -resource shared -from 16 -to 384 -step 2x -csv
 //	sweep -kernel mummer -resource mshr -from 2 -to 32 -step 2x -warm 50000
 //	sweep -kernel bfs -resource dramlat -from 200 -to 800 -step 100 -warm 20000
-//	sweep -kernel dgemm -resource cache -from 32 -to 512 -step 2x -sample detailed=4096,skip=32768
 //	sweep -kernel bfs -resource cache -from 32 -to 512 -step 2x -submit http://127.0.0.1:8344
 package main
 
@@ -45,26 +40,12 @@ import (
 	"time"
 
 	"repro/api"
-	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/occupancy"
 	"repro/internal/parallel"
 	"repro/internal/profiling"
 	"repro/internal/report"
+	"repro/internal/runplan"
 	"repro/internal/sched"
-	"repro/internal/sm"
-	"repro/internal/workloads"
 )
-
-// paramMutators maps the fork-compatible -resource names to their
-// parameter mutation. Every axis here is divergable across a snapshot
-// (sm.Fork); capacity resources are prefix-defining and sweep the slow
-// way.
-var paramMutators = map[string]func(*sm.Params, int){
-	"mshr":    func(p *sm.Params, v int) { p.MaxMSHRs = v },
-	"dramlat": func(p *sm.Params, v int) { p.DRAM.LatencyCycles = int64(v) },
-	"drambw":  func(p *sm.Params, v int) { p.DRAM.BytesPerCycle = v },
-}
 
 func main() {
 	var (
@@ -77,7 +58,6 @@ func main() {
 		jobs       = flag.Int("j", runtime.NumCPU(), "parallel simulation workers (1 = serial)")
 		schedName  = flag.String("sched", "", "warp scheduler: twolevel (default) | gto")
 		warmCycles = flag.Int64("warm", 0, "warm-prefix cycle for parameter sweeps: fork every point from one run warmed to this cycle")
-		sampleSpec = flag.String("sample", "", "sampled simulation for capacity sweeps: detailed=W,skip=S cycles")
 		submitURL  = flag.String("submit", "", "submit the sweep as an async job to this smserve base URL instead of simulating locally")
 		csv        = flag.Bool("csv", false, "emit CSV")
 	)
@@ -95,192 +75,69 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(2)
 	}
-	if *kernelName == "" {
-		fmt.Fprintln(os.Stderr, "sweep: -kernel is required")
-		os.Exit(2)
+	req := api.SweepRequest{
+		Kernel:     *kernelName,
+		Resource:   *resource,
+		From:       *from,
+		To:         *to,
+		Step:       *step,
+		WarmCycles: *warmCycles,
 	}
-	k, err := workloads.ByName(*kernelName)
+	req.Machine.MaxThreads = *threads
+	req.Machine.Timing.Scheduler = string(policy)
+	// Compiling up front validates the request the way the job API
+	// does, for both paths; its errors already read "sweep: ...".
+	batch, _, err := runplan.Sweep(req)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(2)
-	}
-	next, err := api.ParseStep(*step)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(2)
-	}
-	sample, err := sm.ParseSampleSpec(*sampleSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(2)
-	}
-	mutate, isParam := paramMutators[*resource]
-	switch {
-	case isParam:
-		if sample.Enabled() {
-			fmt.Fprintln(os.Stderr, "sweep: -sample applies to capacity sweeps (parameter sweeps fork a warm exact prefix instead)")
-			os.Exit(2)
-		}
-	case *resource == "rf" || *resource == "shared" || *resource == "cache":
-		if *warmCycles != 0 {
-			fmt.Fprintln(os.Stderr, "sweep: -warm needs a parameter resource (mshr | dramlat | drambw); capacities define the warm-up history and cannot be forked")
-			os.Exit(2)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "sweep: unknown resource %q\n", *resource)
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
-	if *submitURL != "" {
-		if sample.Enabled() {
-			fmt.Fprintln(os.Stderr, "sweep: -sample is local-only (the job API runs exact simulations)")
-			os.Exit(2)
-		}
-		req := api.SweepRequest{
-			Kernel:     *kernelName,
-			Resource:   *resource,
-			From:       *from,
-			To:         *to,
-			Step:       *step,
-			WarmCycles: *warmCycles,
-		}
-		req.Machine.MaxThreads = *threads
-		req.Machine.Timing.Scheduler = string(policy)
-		if err := submitSweep(*submitURL, req, isParam, *csv); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	var values []int
-	for v := *from; v <= *to; v = next(v) {
-		values = append(values, v)
-	}
-
-	r := core.NewRunner()
-	r.Params.Scheduler = policy
-	cfg := config.MemConfig{
-		Design:      config.Partitioned,
-		RFBytes:     occupancy.FullOccupancyRFBytes(k.RegsNeeded),
-		SharedBytes: core.UnboundedShared(k),
-		CacheBytes:  config.BaselineCacheBytes,
-		MaxThreads:  *threads,
-	}
 	start := time.Now()
-
-	var rows [][]string
-	if isParam {
-		rows, err = paramSweep(r, k, cfg, values, mutate, *warmCycles)
+	var items []api.BatchItem
+	where := fmt.Sprintf("with %d worker(s)", parallel.Workers())
+	if *submitURL != "" {
+		items, err = submitSweep(*submitURL, req)
+		where = "via " + *submitURL
 	} else {
-		rows, err = capacitySweep(r, k, cfg, values, *resource, sample)
+		items, err = localSweep(batch)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
-
-	title := fmt.Sprintf("%s: performance vs %s", k.Name, *resource)
-	firstCol := "value"
-	if !isParam {
-		title += " capacity"
-		firstCol = "capacity"
-		if sample.Enabled() {
-			title += fmt.Sprintf(" (sampled %s)", sample)
-		}
-	} else {
-		title += fmt.Sprintf(" (forked at cycle %d)", *warmCycles)
-	}
-	t := report.NewRunTable(title, firstCol)
-	for _, row := range rows {
-		t.AddRow(row...)
+	t, err := render(req, items)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sweep:", err)
+		os.Exit(1)
 	}
 	if *csv {
 		fmt.Print(t.CSV())
 	} else {
 		fmt.Print(t)
 	}
-	fmt.Fprintf(os.Stderr, "sweep: %d point(s) in %v with %d worker(s)\n",
-		len(values), time.Since(start).Round(time.Millisecond), parallel.Workers())
+	fmt.Fprintf(os.Stderr, "sweep: %d point(s) in %v %s\n",
+		len(items), time.Since(start).Round(time.Millisecond), where)
 }
 
-// resultRow formats one sweep point's table row (warp IPC, as
-// everywhere in the sweep tables).
-func resultRow(label string, res *core.Result) []string {
-	return report.RunRow(label, res.Occupancy.Threads, res.Counters.Cycles,
-		res.Counters.IPC(), res.Counters.DRAMBytes(), res.Energy.Total())
-}
-
-// capacitySweep runs one independent simulation per capacity point,
-// optionally in sampled mode.
-func capacitySweep(r *core.Runner, k *workloads.Kernel, base config.MemConfig, capacities []int, resource string, sample sm.SampleSpec) ([][]string, error) {
-	var opts []core.RunOption
-	if sample.Enabled() {
-		opts = append(opts, core.WithSample(sample))
-	}
-	return parallel.Map(len(capacities), func(i int) ([]string, error) {
-		kb := capacities[i]
-		cfg := base
-		switch resource {
-		case "rf":
-			cfg.RFBytes = kb << 10
-		case "shared":
-			cfg.SharedBytes = kb << 10
-		case "cache":
-			cfg.CacheBytes = kb << 10
-		}
-		label := fmt.Sprintf("%dK", kb)
-		res, err := r.Run(core.RunSpec{Kernel: k, Config: cfg}, opts...)
-		if core.IsInfeasible(err) {
-			return report.InfeasibleRunRow(label), nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		return resultRow(label, res), nil
-	})
-}
-
-// paramSweep warms one prefix to warmCycles and forks it into every
-// parameter point. A warm cycle of 0 forks at launch — still one shared
-// prefix, just a trivial one.
-func paramSweep(r *core.Runner, k *workloads.Kernel, cfg config.MemConfig, values []int, mutate func(*sm.Params, int), warmCycles int64) ([][]string, error) {
-	warm, err := r.Warm(context.Background(), core.RunSpec{Kernel: k, Config: cfg}, warmCycles)
-	if core.IsInfeasible(err) {
-		rows := make([][]string, len(values))
-		for i, v := range values {
-			rows[i] = report.InfeasibleRunRow(fmt.Sprint(v))
-		}
-		return rows, nil
-	}
+// localSweep resolves and executes a compiled sweep in this process.
+func localSweep(batch api.BatchRequest) ([]api.BatchItem, error) {
+	runs, err := runplan.ResolveBatch(batch)
 	if err != nil {
 		return nil, err
 	}
-	return parallel.Map(len(values), func(i int) ([]string, error) {
-		params := warm.Params
-		mutate(&params, values[i])
-		res, err := warm.Resume(context.Background(), r, params)
-		if err != nil {
-			return nil, err
-		}
-		return resultRow(fmt.Sprint(values[i]), res), nil
-	})
+	return runplan.Execute(runs)
 }
 
 // submitSweep runs the sweep remotely as a durable async job on an
-// smserve instance: submit, poll with progress lines on stderr, fetch
-// the final result, and render the same table the local path prints.
-func submitSweep(baseURL string, req api.SweepRequest, isParam, csv bool) error {
-	values, err := req.Values()
-	if err != nil {
-		return err
-	}
+// smserve instance: submit, poll with progress lines on stderr, and
+// decode the items of the job's final result.
+func submitSweep(baseURL string, req api.SweepRequest) ([]api.BatchItem, error) {
 	ctx := context.Background()
 	c := api.NewClient(baseURL)
-	start := time.Now()
 	job, err := c.SubmitJob(ctx, api.JobRequest{Sweep: &req})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "sweep: submitted job %s (%s) to %s\n", job.ID, job.Note, baseURL)
 	lastDone := -1
@@ -292,34 +149,45 @@ func submitSweep(baseURL string, req api.SweepRequest, isParam, csv bool) error 
 		}
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if job.State != api.JobDone {
-		return fmt.Errorf("job %s finished %s: %v", job.ID, job.State, job.Error)
+		return nil, fmt.Errorf("job %s finished %s: %v", job.ID, job.State, job.Error)
 	}
 	raw, err := c.JobResult(ctx, job.ID)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var br api.BatchResponse
 	if err := json.Unmarshal(raw, &br); err != nil {
-		return fmt.Errorf("decoding job result: %w", err)
+		return nil, fmt.Errorf("decoding job result: %w", err)
 	}
 	items, err := br.Items()
 	if err != nil {
-		return fmt.Errorf("decoding job result items: %w", err)
+		return nil, fmt.Errorf("decoding job result items: %w", err)
+	}
+	return items, nil
+}
+
+// render builds the sweep table from one batch item per point (warp
+// IPC, as everywhere in the sweep tables). The local and -submit paths
+// both render through here.
+func render(req api.SweepRequest, items []api.BatchItem) (*report.Table, error) {
+	values, err := req.Values()
+	if err != nil {
+		return nil, err
 	}
 	if len(items) != len(values) {
-		return fmt.Errorf("job returned %d point(s), want %d", len(items), len(values))
+		return nil, fmt.Errorf("sweep returned %d point(s), want %d", len(items), len(values))
 	}
-
+	isParam := runplan.ParamAxes[req.Resource]
 	title := fmt.Sprintf("%s: performance vs %s", req.Kernel, req.Resource)
 	firstCol := "value"
-	if !isParam {
+	if isParam {
+		title += fmt.Sprintf(" (forked at cycle %d)", req.WarmCycles)
+	} else {
 		title += " capacity"
 		firstCol = "capacity"
-	} else {
-		title += fmt.Sprintf(" (forked at cycle %d)", req.WarmCycles)
 	}
 	t := report.NewRunTable(title, firstCol)
 	for i, it := range items {
@@ -331,24 +199,12 @@ func submitSweep(baseURL string, req api.SweepRequest, isParam, csv bool) error 
 		case it.Error != nil && it.Error.Code == api.CodeInfeasible:
 			t.AddRow(report.InfeasibleRunRow(label)...)
 		case it.Error != nil:
-			return fmt.Errorf("point %s failed: %v", label, it.Error)
+			return nil, fmt.Errorf("point %s failed: %v", label, it.Error)
 		default:
-			t.AddRow(responseRow(label, it.Result)...)
+			r := it.Result
+			t.AddRow(report.RunRow(label, r.Occupancy.Threads, r.Counters.Cycles,
+				r.Counters.IPC(), r.Counters.DRAMBytes(), r.Energy.Total)...)
 		}
 	}
-	if csv {
-		fmt.Print(t.CSV())
-	} else {
-		fmt.Print(t)
-	}
-	fmt.Fprintf(os.Stderr, "sweep: %d point(s) in %v via %s\n",
-		len(values), time.Since(start).Round(time.Millisecond), baseURL)
-	return nil
-}
-
-// responseRow is resultRow for a service response: same columns, same
-// formatting, so remote and local tables agree.
-func responseRow(label string, r *api.RunResponse) []string {
-	return report.RunRow(label, r.Occupancy.Threads, r.Counters.Cycles,
-		r.Counters.IPC(), r.Counters.DRAMBytes(), r.Energy.Total)
+	return t, nil
 }

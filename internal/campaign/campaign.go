@@ -8,7 +8,7 @@
 // A campaign compiles to one machine-major list of api.RunRequests —
 // the cells of the (machine x workload) matrix. The same compiled runs
 // execute two ways with bit-identical outcomes: locally through
-// core.Runner + parallel.Map (Execute), or remotely as a "compare" job
+// internal/runplan's executor (Execute), or remotely as a "compare" job
 // whose result bytes are byte-identical to POST /v1/batch of the runs
 // (ResultFromBatch). Rendering draws every scalar from exactly the
 // fields that round-trip the JSON API losslessly (int64 counters,
@@ -25,6 +25,8 @@ import (
 	"strings"
 
 	"repro/api"
+	"repro/internal/config"
+	"repro/internal/runplan"
 	"repro/internal/workloads"
 )
 
@@ -111,7 +113,10 @@ func parseWorkload(entry string) ([]Workload, error) {
 		}
 		name, bf = entry[:at], n
 	}
-	k, err := kernelFor(name, bf)
+	if bf != 0 && name != "needle" {
+		return nil, fmt.Errorf("workload %q: blocking factors apply to needle only", name)
+	}
+	k, err := runplan.Kernel(name, bf)
 	if err != nil {
 		return nil, err
 	}
@@ -120,19 +125,6 @@ func parseWorkload(entry string) ([]Workload, error) {
 		label = fmt.Sprintf("%s@%d", name, bf)
 	}
 	return []Workload{{Label: label, Name: name, BF: bf, Kernel: k}}, nil
-}
-
-// kernelFor resolves a kernel exactly as the service does (serve's
-// resolve): needle honors an explicit BF, everything else must be a
-// registry name.
-func kernelFor(name string, bf int) (*workloads.Kernel, error) {
-	if name == "needle" && bf != 0 {
-		return workloads.NeedleKernel(bf), nil
-	}
-	if bf != 0 {
-		return nil, fmt.Errorf("workload %q: blocking factors apply to needle only", name)
-	}
-	return workloads.ByName(name)
 }
 
 // expandWorkloads expands and de-duplicates a workload list.
@@ -174,8 +166,8 @@ func New(spec api.CompareRequest) (*Campaign, error) {
 		if m.AllocTotalKB > 0 && m.FermiTotalKB > 0 {
 			return nil, fmt.Errorf("campaign %s: machine %q: at most one of alloc_total_kb and fermi_total_kb", spec.Name, m.Name)
 		}
-		if m.FermiTotalKB > 0 && m.FermiTotalKB<<10 <= fermiRFBytes {
-			return nil, fmt.Errorf("campaign %s: machine %q: fermi_total_kb must exceed the fixed %dKB register file", spec.Name, m.Name, fermiRFBytes>>10)
+		if m.FermiTotalKB > 0 && m.FermiTotalKB<<10 <= config.BaselineRFBytes {
+			return nil, fmt.Errorf("campaign %s: machine %q: fermi_total_kb must exceed the fixed %dKB register file", spec.Name, m.Name, config.BaselineRFBytes>>10)
 		}
 		if _, _, _, err := m.Machine.Resolve(); err != nil {
 			return nil, fmt.Errorf("campaign %s: machine %q: %v", spec.Name, m.Name, err)

@@ -106,8 +106,7 @@ func (r *Result) IPC() float64 {
 type RunOption func(*runOptions)
 
 type runOptions struct {
-	probe  *probe.Probe
-	sample sm.SampleSpec
+	probe *probe.Probe
 }
 
 // WithProbe attaches a cycle-level observability probe to the run. The
@@ -116,16 +115,6 @@ type runOptions struct {
 // Counters are identical to an unprobed one's.
 func WithProbe(p *probe.Probe) RunOption {
 	return func(o *runOptions) { o.probe = p }
-}
-
-// WithSample runs the simulation in sampled mode (sm.SampleSpec):
-// detailed windows alternating with functional fast-forwards. Counters
-// stay exactly attributed but cycle counts are approximate; the
-// harness's sampling experiment reports the measured IPC error per
-// workload. A zero spec keeps the exact path. Sampling and probes are
-// mutually exclusive (the probe's stall attribution needs exact runs).
-func WithSample(sp sm.SampleSpec) RunOption {
-	return func(o *runOptions) { o.sample = sp }
 }
 
 // Runner executes runs and caches the per-benchmark baseline needed for
@@ -180,9 +169,6 @@ func (r *Runner) Run(spec RunSpec, opts ...RunOption) (*Result, error) {
 // result is cached process-wide and must never memoize a caller's
 // cancellation; and a completed RunCtx returns counters identical to
 // Run's — the context only decides whether the run finishes.
-//
-// Sampling (WithSample) needs a one-stream run: per-stream attribution
-// of a mix needs exact runs.
 func (r *Runner) RunCtx(ctx context.Context, spec RunSpec, opts ...RunOption) (*Result, error) {
 	var o runOptions
 	for _, opt := range opts {
@@ -191,9 +177,6 @@ func (r *Runner) RunCtx(ctx context.Context, spec RunSpec, opts ...RunOption) (*
 	p, err := r.prepare(spec)
 	if err != nil {
 		return nil, err
-	}
-	if o.sample.Enabled() && len(p.streams) > 1 {
-		return nil, fmt.Errorf("core: sampled mode does not support multi-tenant streams")
 	}
 	if o.probe != nil {
 		o.probe.Annotate("kernel", p.label())
@@ -209,12 +192,7 @@ func (r *Runner) RunCtx(ctx context.Context, spec RunSpec, opts ...RunOption) (*
 	if err != nil {
 		return nil, fmt.Errorf("core: %s under %v: %w", p.label(), p.spec.Config, err)
 	}
-	var counters *stats.Counters
-	if o.sample.Enabled() {
-		counters, err = machine.RunSampled(ctx, o.sample)
-	} else {
-		counters, err = machine.RunContext(ctx)
-	}
+	counters, err := machine.RunContext(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s under %v: %w", p.label(), p.spec.Config, err)
 	}

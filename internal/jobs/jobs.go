@@ -438,12 +438,14 @@ func (e *Engine) finish(j *job, state string, jerr *api.Error, final []byte, fin
 	// An engine opened against the same directory must never read a
 	// stale running record for a job this process already reported
 	// terminal (it would resume a finished job), nor a terminal record
-	// whose result file has not appeared yet.
+	// whose result file has not appeared yet. A failed result write
+	// therefore leaves the record non-terminal: this process still
+	// answers from memory, and a restarted engine resumes the job from
+	// the result store instead of reporting a result it cannot read.
 	if e.opts.Dir != "" {
-		if final != nil {
-			_ = store.WriteFileAtomic(e.resultPath(j.id), final)
+		if final == nil || store.WriteFileAtomic(e.resultPath(j.id), final) == nil {
+			_ = e.persistLocked(j)
 		}
-		_ = e.persistLocked(j)
 	}
 	j.mu.Unlock()
 

@@ -339,6 +339,59 @@ func TestKillResume(t *testing.T) {
 	}
 }
 
+// TestResultWriteFailureResumes pins finish's commit order under a
+// failed result write: the job completes in memory, but its record must
+// stay non-terminal, so a restarted engine resumes it and serves the
+// result instead of reporting done with an unreadable result.
+func TestResultWriteFailureResumes(t *testing.T) {
+	dir := t.TempDir()
+	// A directory where the result file goes makes its write fail.
+	blocked := filepath.Join(dir, "j1.result.json")
+	if err := os.MkdirAll(filepath.Join(blocked, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	e1, err := New(Options{Dir: dir, Resolve: testResolve, Exec: plainExec(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := submitSpec(t, e1, testSpec{N: 2})
+	if job.ID != "j1" {
+		t.Fatalf("job id = %s, want j1", job.ID)
+	}
+	if done := waitTerminal(t, e1, job.ID); done.State != api.JobDone {
+		t.Fatalf("job = %+v, want done", done)
+	}
+	if status, body, err := e1.Result(job.ID); err != nil || status != http.StatusOK || string(body) != "b0,b1" {
+		t.Fatalf("in-memory result = %d %q %v", status, body, err)
+	}
+	e1.Close()
+	data, err := os.ReadFile(filepath.Join(dir, job.ID+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"state":"running"`) {
+		t.Fatalf("record after failed result write = %s, want state running", data)
+	}
+
+	if err := os.RemoveAll(blocked); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := New(Options{Dir: dir, Resolve: testResolve, Exec: plainExec(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if e2.Stats().Resumed != 1 {
+		t.Fatalf("stats after reopen = %+v, want 1 resumed", e2.Stats())
+	}
+	if done := waitTerminal(t, e2, job.ID); done.State != api.JobDone {
+		t.Fatalf("resumed job = %+v, want done", done)
+	}
+	if status, body, err := e2.Result(job.ID); err != nil || status != http.StatusOK || string(body) != "b0,b1" {
+		t.Fatalf("resumed result = %d %q %v", status, body, err)
+	}
+}
+
 // TestNewJobIDsContinueAfterRestart pins id allocation across restarts:
 // ids never collide with persisted jobs.
 func TestNewJobIDsContinueAfterRestart(t *testing.T) {

@@ -2,12 +2,10 @@ package perfbench
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/sm"
 	"repro/internal/workloads"
 )
 
@@ -95,78 +93,3 @@ func MeasureForkSweep() (*ForkSweep, error) {
 	}
 	return fs, nil
 }
-
-// Sampled is the measured cost/accuracy trade of sampled simulation
-// over the full workload registry under the baseline configuration:
-// wall-clock speedup against exact runs and the relative IPC error
-// bounds the approximation carries (the harness sampling table reports
-// the same errors per workload).
-type Sampled struct {
-	Spec           string  `json:"spec"`
-	Workloads      int     `json:"workloads"`
-	ExactSeconds   float64 `json:"exact_seconds"`
-	SampledSeconds float64 `json:"sampled_seconds"`
-	Speedup        float64 `json:"speedup"`
-	MeanIPCError   float64 `json:"mean_ipc_error"`
-	MaxIPCError    float64 `json:"max_ipc_error"`
-}
-
-// MeasureSampled measures sampled-mode speedup and IPC error for sp
-// across every registry workload.
-func MeasureSampled(sp sm.SampleSpec) (*Sampled, error) {
-	if !sp.Enabled() {
-		return nil, fmt.Errorf("perfbench: sampled measurement needs an enabled sample spec")
-	}
-	r := core.NewRunner()
-	kernels := workloads.All()
-	out := &Sampled{Spec: sp.String(), Workloads: len(kernels)}
-	type pair struct{ exact, sampled float64 }
-	ipcs := make([]pair, len(kernels))
-	// Warm every trace and baseline first so both timed passes measure
-	// simulation, not first-touch trace generation.
-	for _, k := range kernels {
-		if _, err := r.Run(core.RunSpec{Kernel: k, Config: config.Baseline()}); err != nil {
-			return nil, err
-		}
-	}
-	start := time.Now()
-	for i, k := range kernels {
-		res, err := r.Run(core.RunSpec{Kernel: k, Config: config.Baseline()})
-		if err != nil {
-			return nil, err
-		}
-		ipcs[i].exact = res.IPC()
-	}
-	out.ExactSeconds = time.Since(start).Seconds()
-	start = time.Now()
-	for i, k := range kernels {
-		res, err := r.Run(core.RunSpec{Kernel: k, Config: config.Baseline()}, core.WithSample(sp))
-		if err != nil {
-			return nil, err
-		}
-		ipcs[i].sampled = res.IPC()
-	}
-	out.SampledSeconds = time.Since(start).Seconds()
-	if out.SampledSeconds > 0 {
-		out.Speedup = out.ExactSeconds / out.SampledSeconds
-	}
-	for _, p := range ipcs {
-		if p.exact == 0 {
-			continue
-		}
-		e := (p.sampled - p.exact) / p.exact
-		if e < 0 {
-			e = -e
-		}
-		out.MeanIPCError += e
-		if e > out.MaxIPCError {
-			out.MaxIPCError = e
-		}
-	}
-	out.MeanIPCError /= float64(len(kernels))
-	return out, nil
-}
-
-// DefaultSampleSpec is the sampled-mode configuration the tracked
-// benchmark measures.
-var DefaultSampleSpec = sm.SampleSpec{DetailedCycles: 2048, SkipCycles: 8192}

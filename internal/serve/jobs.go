@@ -20,11 +20,8 @@ import (
 
 	"repro/api"
 	"repro/internal/campaign"
-	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/jobs"
-	"repro/internal/occupancy"
-	"repro/internal/workloads"
+	"repro/internal/runplan"
 )
 
 // maxJobBody bounds a job submission body (a 10k-point sweep is ~2MB).
@@ -159,18 +156,18 @@ func (s *Server) jobResolve(request []byte) (jobs.Plan, error) {
 	}
 	switch {
 	case req.Run != nil:
-		rr, err := s.resolve(*req.Run)
+		rr, err := runplan.Resolve(*req.Run)
 		if err != nil {
 			return jobs.Plan{}, errBadRequest("run: %v", err)
 		}
 		return jobs.Plan{
 			Type:     "run",
-			Note:     "run " + rr.label(),
-			Items:    runItems([]*resolvedRun{rr}),
+			Note:     "run " + rr.Label(),
+			Items:    runItems([]*runplan.Run{rr}),
 			Assemble: assembleSingle,
 		}, nil
 	case req.Batch != nil:
-		rrs, aerr := s.resolveBatch(*req.Batch)
+		rrs, aerr := resolveBatch(*req.Batch)
 		if aerr != nil {
 			return jobs.Plan{}, aerr
 		}
@@ -181,11 +178,11 @@ func (s *Server) jobResolve(request []byte) (jobs.Plan, error) {
 			Assemble: assembleBatch,
 		}, nil
 	case req.Sweep != nil:
-		breq, note, aerr := s.expandSweep(*req.Sweep)
-		if aerr != nil {
-			return jobs.Plan{}, aerr
+		breq, note, err := runplan.Sweep(*req.Sweep)
+		if err != nil {
+			return jobs.Plan{}, errBadRequest("%s", err.Error())
 		}
-		rrs, rerr := s.resolveBatch(breq)
+		rrs, rerr := resolveBatch(breq)
 		if rerr != nil {
 			return jobs.Plan{}, rerr
 		}
@@ -203,7 +200,7 @@ func (s *Server) jobResolve(request []byte) (jobs.Plan, error) {
 		if err != nil {
 			return jobs.Plan{}, errBadRequest("compare: %v", err)
 		}
-		rrs, rerr := s.resolveBatch(api.BatchRequest{Runs: c.Runs})
+		rrs, rerr := resolveBatch(api.BatchRequest{Runs: c.Runs})
 		if rerr != nil {
 			return jobs.Plan{}, rerr
 		}
@@ -228,10 +225,10 @@ func (s *Server) jobResolve(request []byte) (jobs.Plan, error) {
 }
 
 // runItems wraps resolved runs as engine items.
-func runItems(rrs []*resolvedRun) []jobs.Item {
+func runItems(rrs []*runplan.Run) []jobs.Item {
 	items := make([]jobs.Item, len(rrs))
 	for i, rr := range rrs {
-		items[i] = jobs.Item{Index: i, Key: rr.key, Probe: rr.probe, Payload: rr}
+		items[i] = jobs.Item{Index: i, Key: rr.Key, Probe: rr.Probe, Payload: rr}
 	}
 	return items
 }
@@ -250,12 +247,12 @@ func assembleSingle(statuses []int, bodies [][]byte) (int, []byte) {
 // through the item context.
 func (s *Server) jobExec(ctx context.Context, it jobs.Item, ic *jobs.ItemContext) (int, []byte, string) {
 	switch p := it.Payload.(type) {
-	case *resolvedRun:
-		if p.probe {
-			p.probeSink = &lineWriter{emit: ic.Probe}
+	case *runplan.Run:
+		if p.Probe {
+			p.ProbeSink = &lineWriter{emit: ic.Probe}
 		}
-		if p.warm != nil {
-			ic.Note(fmt.Sprintf("warm@%d %s", p.warmCycles, p.label()))
+		if p.WarmCycles > 0 {
+			ic.Note(fmt.Sprintf("warm@%d %s", p.WarmCycles, p.Label()))
 			defer ic.Note("")
 		}
 		return s.compute(ctx, p, false)
@@ -265,91 +262,6 @@ func (s *Server) jobExec(ctx context.Context, it jobs.Item, ic *jobs.ItemContext
 		return http.StatusInternalServerError, errorBytes(errInternal("unknown job item payload %T", it.Payload)), "miss"
 	}
 }
-
-// sweepCapacityAxes and sweepParamAxes are the legal SweepRequest
-// resources; parameter axes are divergable across a snapshot and may
-// share a warm prefix, capacity axes define the warm-up history and
-// may not (the same split cmd/sweep enforces).
-var (
-	sweepCapacityAxes = map[string]bool{"rf": true, "shared": true, "cache": true}
-	sweepParamAxes    = map[string]bool{"mshr": true, "dramlat": true, "drambw": true}
-)
-
-// expandSweep turns a SweepRequest into the equivalent BatchRequest —
-// one run per point, the swept field overwritten on the base machine —
-// plus a human-readable note.
-func (s *Server) expandSweep(req api.SweepRequest) (api.BatchRequest, string, *api.Error) {
-	if req.Kernel == "" {
-		return api.BatchRequest{}, "", errBadRequest("sweep: missing \"kernel\"")
-	}
-	k, err := workloadForSweep(req)
-	if err != nil {
-		return api.BatchRequest{}, "", errBadRequest("sweep: %v", err)
-	}
-	isParam := sweepParamAxes[req.Resource]
-	if !isParam && !sweepCapacityAxes[req.Resource] {
-		return api.BatchRequest{}, "", errBadRequest(
-			"sweep: unknown resource %q (want rf | shared | cache | mshr | dramlat | drambw)", req.Resource)
-	}
-	if req.WarmCycles != 0 && !isParam {
-		return api.BatchRequest{}, "", errBadRequest(
-			"sweep: warm_cycles needs a parameter resource (mshr | dramlat | drambw); capacities define the warm-up history and cannot be forked")
-	}
-	values, err := req.Values()
-	if err != nil {
-		return api.BatchRequest{}, "", errBadRequest("sweep: %v", err)
-	}
-	base := req.Machine
-	if base.RFKB == 0 && base.SharedKB == 0 && base.CacheKB == 0 {
-		// An entirely unspecified split takes the sweep baseline —
-		// full-occupancy RF, unbounded shared, baseline cache — exactly
-		// cmd/sweep's local default, so only the swept axis constrains
-		// the kernel.
-		base.RFKB = kbCeil(occupancy.FullOccupancyRFBytes(k.RegsNeeded))
-		base.SharedKB = kbCeil(core.UnboundedShared(k))
-		base.CacheKB = config.BaselineCacheBytes >> 10
-	}
-	runs := make([]api.RunRequest, len(values))
-	for i, v := range values {
-		d := base
-		switch req.Resource {
-		case "rf":
-			d.RFKB = v
-		case "shared":
-			d.SharedKB = v
-		case "cache":
-			d.CacheKB = v
-		case "mshr":
-			d.Timing.MaxMSHRs = v
-		case "dramlat":
-			d.Timing.DRAMLatency = int64(v)
-		case "drambw":
-			d.Timing.DRAMBytesPerCycle = v
-		}
-		runs[i] = api.RunRequest{
-			Kernel:        req.Kernel,
-			BF:            req.BF,
-			Machine:       d,
-			RegsPerThread: req.RegsPerThread,
-			Seed:          req.Seed,
-			TimeoutMS:     req.TimeoutMS,
-		}
-	}
-	note := fmt.Sprintf("sweep %s %s %d..%d step %s (%d points)",
-		k.Name, req.Resource, req.From, req.To, req.Step, len(values))
-	return api.BatchRequest{Runs: runs, WarmCycles: req.WarmCycles}, note, nil
-}
-
-// workloadForSweep resolves the sweep's kernel (for baseline sizing).
-func workloadForSweep(req api.SweepRequest) (*workloads.Kernel, error) {
-	if req.Kernel == "needle" && req.BF != 0 {
-		return workloads.NeedleKernel(req.BF), nil
-	}
-	return workloads.ByName(req.Kernel)
-}
-
-// kbCeil converts bytes to whole KB, rounding up.
-func kbCeil(b int) int { return (b + 1023) >> 10 }
 
 // lineWriter splits a probe's NDJSON byte stream into lines and hands
 // each complete line to emit — the bridge from the probe's io.Writer

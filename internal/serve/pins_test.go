@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/api"
+	"repro/internal/runplan"
 )
 
 // TestCanonicalKeyPins pins the literal SHA-256 cache keys of the plain
@@ -16,7 +17,6 @@ import (
 // resume) are addressed by these keys, so a refactor of request
 // resolution must reproduce them exactly or every stored body misses.
 func TestCanonicalKeyPins(t *testing.T) {
-	s, _ := newTestServer(t, Options{})
 	for _, tc := range []struct{ body, key string }{
 		{`{"kernel":"vectoradd"}`,
 			"91fd1036ba484869dbca361d2b2590aafdd5c7fc9ab787dcfc2e87e98118de20"},
@@ -33,12 +33,12 @@ func TestCanonicalKeyPins(t *testing.T) {
 		if err := json.Unmarshal([]byte(tc.body), &req); err != nil {
 			t.Fatal(err)
 		}
-		rr, err := s.resolve(req)
+		rr, err := runplan.Resolve(req)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.body, err)
 		}
-		if rr.key != tc.key {
-			t.Errorf("%s: key %s, want %s", tc.body, rr.key, tc.key)
+		if rr.Key != tc.key {
+			t.Errorf("%s: key %s, want %s", tc.body, rr.Key, tc.key)
 		}
 	}
 }
