@@ -5,6 +5,10 @@
 // rate, and DRAM traffic evolve over the run. It can also stream the
 // raw NDJSON profile for external tooling.
 //
+// The run is the probed /v1/run request its flags mean (runplan.Flags
+// with "probe": true), resolved and simulated through internal/runplan
+// as the service does; the report renders from the response's NDJSON.
+//
 // Examples:
 //
 //	smprof -kernel needle                        # baseline partitioned run
@@ -16,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -23,11 +28,11 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/probe"
 	"repro/internal/report"
-	"repro/internal/sched"
+	"repro/internal/runplan"
 	"repro/internal/workloads"
 )
 
@@ -49,12 +54,6 @@ func main() {
 	)
 	flag.Parse()
 
-	policy, err := sched.ParsePolicy(*schedName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "smprof:", err)
-		os.Exit(2)
-	}
-
 	if *list {
 		t := report.NewTable("Benchmarks", "name", "suite", "category")
 		for _, k := range workloads.All() {
@@ -63,86 +62,34 @@ func main() {
 		fmt.Print(t)
 		return
 	}
-	var streamNames []string
-	if *streamSpec != "" {
-		if *kernelName != "" {
-			fmt.Fprintln(os.Stderr, "smprof: -kernel and -streams are mutually exclusive")
-			os.Exit(2)
-		}
-		streamNames = strings.Split(*streamSpec, "+")
-		if len(streamNames) < 2 {
-			fmt.Fprintf(os.Stderr, "smprof: -streams wants at least two \"+\"-joined kernels, got %q\n", *streamSpec)
-			os.Exit(2)
-		}
-	} else if *kernelName == "" {
-		fmt.Fprintln(os.Stderr, "smprof: -kernel is required (try -list)")
-		os.Exit(2)
+	req, err := runplan.Flags{
+		Kernel: *kernelName, Streams: *streamSpec, Design: *design,
+		RFKB: *rfKB, SharedKB: *shmKB, CacheKB: *cacheKB, TotalKB: *totalKB,
+		Threads: *threads, Regs: *regs, Sched: *schedName,
+	}.Request()
+	var run *runplan.Run
+	if err == nil {
+		req.Probe, req.ProbeIntervalCycles = true, *interval
+		run, err = runplan.Resolve(req)
 	}
-	// One requirements slice covers both forms: a plain kernel is a
-	// one-entry mix.
-	names := streamNames
-	if len(names) == 0 {
-		names = []string{*kernelName}
-	}
-	reqs := make([]config.KernelRequirements, len(names))
-	for i, name := range names {
-		k, err := workloads.ByName(strings.TrimSpace(name))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smprof:", err)
-			os.Exit(2)
-		}
-		names[i] = k.Name
-		reqs[i] = k.Requirements()
-	}
-
-	var cfg config.MemConfig
-	switch *design {
-	case "partitioned":
-		cfg = config.MemConfig{
-			Design:      config.Partitioned,
-			RFBytes:     *rfKB << 10,
-			SharedBytes: *shmKB << 10,
-			CacheBytes:  *cacheKB << 10,
-			MaxThreads:  *threads,
-		}
-	case "unified":
-		cfg, err = config.Allocate(*totalKB<<10, *threads, reqs...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smprof:", err)
-			os.Exit(1)
-		}
-	case "fermi":
-		cfg = config.ChooseFermi(*totalKB<<10-config.BaselineRFBytes, *threads, reqs...)
-	default:
-		fmt.Fprintf(os.Stderr, "smprof: unknown design %q\n", *design)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "smprof:", err)
 		os.Exit(2)
 	}
 
-	var out io.Writer
+	var out io.WriteCloser
 	switch *ndjson {
 	case "":
 	case "-":
 		out = os.Stdout
 	default:
-		f, err := os.Create(*ndjson)
-		if err != nil {
+		if out, err = os.Create(*ndjson); err != nil {
 			fmt.Fprintln(os.Stderr, "smprof:", err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		out = f
 	}
 
-	runner := core.NewRunner()
-	runner.Params.Scheduler = policy
-	pr, err := harness.Profile(runner, harness.ProfileSpec{
-		Kernel:         *kernelName,
-		Streams:        streamNames,
-		Config:         cfg,
-		RegsPerThread:  *regs,
-		IntervalCycles: *interval,
-		NDJSON:         out,
-	})
+	resp, err := runplan.Simulate(context.Background(), run, &runplan.Runners{}, 0)
 	var fit *core.FitError
 	if errors.As(err, &fit) {
 		fmt.Fprintf(os.Stderr, "smprof: %s cannot achieve residency of one CTA under %v: the binding resource is %v\n",
@@ -153,10 +100,27 @@ func main() {
 		fmt.Fprintln(os.Stderr, "smprof:", err)
 		os.Exit(1)
 	}
-
-	// When NDJSON goes to stdout, keep the human report off it.
-	if out == os.Stdout {
-		return
+	if out != nil {
+		_, err := io.WriteString(out, resp.ProbeNDJSON)
+		if cerr := out.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "smprof: writing NDJSON profile:", err)
+			os.Exit(1)
+		}
+		// When NDJSON goes to stdout, keep the human report off it.
+		if out == os.Stdout {
+			return
+		}
 	}
-	fmt.Print(harness.FormatProfile(pr))
+	prof, err := probe.Decode(strings.NewReader(resp.ProbeNDJSON))
+	if err == nil && prof.Summary == nil {
+		err = errors.New("profile has no summary record")
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "smprof:", err)
+		os.Exit(1)
+	}
+	fmt.Print(harness.FormatProfile(run, resp, prof))
 }

@@ -3,6 +3,11 @@
 // occupancy, cache and DRAM behaviour, bank conflicts, and the energy
 // breakdown.
 //
+// A run is the /v1/run request its flags mean (runplan.Flags), resolved
+// and simulated through internal/runplan exactly as the service does:
+// -design unified -total N is "alloc_total_kb": N, and -design fermi
+// -total N is "fermi_total_kb": N.
+//
 // Examples:
 //
 //	smsim -kernel needle                         # baseline partitioned run
@@ -15,18 +20,19 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
+	"repro/api"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/profiling"
 	"repro/internal/report"
-	"repro/internal/sched"
+	"repro/internal/runplan"
 	"repro/internal/sm"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -88,12 +94,6 @@ func main() {
 	}
 	defer stopProf()
 
-	policy, err := sched.ParsePolicy(*schedName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "smsim:", err)
-		os.Exit(2)
-	}
-
 	if *emitMachine != "" {
 		if err := machine.Save(*emitMachine, machine.Default()); err != nil {
 			fmt.Fprintln(os.Stderr, "smsim:", err)
@@ -112,125 +112,64 @@ func main() {
 		fmt.Print(t)
 		return
 	}
+	flags := runplan.Flags{
+		Kernel: *kernelName, Streams: *streams, Design: *design,
+		RFKB: *rfKB, SharedKB: *shmKB, CacheKB: *cacheKB, TotalKB: *totalKB,
+		Threads: *threads, Regs: *regs, Sched: *schedName, Machine: *machineFile,
+	}
 	if *traceFile != "" {
-		params := sm.DefaultParams()
-		params.Scheduler = policy
-		replayTrace(*traceFile, config.MemConfig{
-			Design:      config.Partitioned,
-			RFBytes:     *rfKB << 10,
-			SharedBytes: *shmKB << 10,
-			CacheBytes:  *cacheKB << 10,
-			MaxThreads:  *threads,
-		}, params, *resident)
+		d, err := flags.Description()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "smsim:", err)
+			os.Exit(2)
+		}
+		cfg, params, _, err := d.Resolve()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "smsim:", err)
+			os.Exit(2)
+		}
+		replayTrace(*traceFile, cfg, params, *resident)
 		return
 	}
-	var kernels []*workloads.Kernel
-	switch {
-	case *streams != "":
-		kernels, err = parseStreams(*streams)
-	case *kernelName == "":
-		err = errors.New("-kernel is required (try -list)")
-	default:
-		var k *workloads.Kernel
-		k, err = workloads.ByName(*kernelName)
-		kernels = []*workloads.Kernel{k}
+	req, err := flags.Request()
+	var run *runplan.Run
+	if err == nil {
+		run, err = runplan.Resolve(req)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "smsim:", err)
 		os.Exit(2)
 	}
-	reqs := make([]config.KernelRequirements, len(kernels))
-	for i, k := range kernels {
-		reqs[i] = k.Requirements()
-	}
-
-	r := core.NewRunner()
-	r.Params.Scheduler = policy
-	var cfg config.MemConfig
-	if *machineFile != "" {
-		mcfg, params, eparams, err := machine.Load(*machineFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smsim:", err)
-			os.Exit(1)
-		}
-		cfg = mcfg
-		r.Params = params
-		if *schedName != "" {
-			r.Params.Scheduler = policy // the flag overrides the machine file
-		}
-		r.Energy.P = eparams
-	} else {
-		switch *design {
-		case "partitioned":
-			cfg = config.MemConfig{
-				Design:      config.Partitioned,
-				RFBytes:     *rfKB << 10,
-				SharedBytes: *shmKB << 10,
-				CacheBytes:  *cacheKB << 10,
-				MaxThreads:  *threads,
-			}
-		case "unified":
-			cfg, err = config.Allocate(*totalKB<<10, *threads, reqs...)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "smsim:", err)
-				os.Exit(1)
-			}
-		case "fermi":
-			cfg = config.ChooseFermi(*totalKB<<10-config.BaselineRFBytes, *threads, reqs...)
-		default:
-			fmt.Fprintf(os.Stderr, "smsim: unknown design %q\n", *design)
-			os.Exit(2)
-		}
-	}
-	if len(kernels) > 1 {
-		runStreamsAndReport(r, kernels, cfg)
-	} else {
-		runAndReport(r, kernels[0], cfg, *regs)
-	}
-}
-
-// parseStreams resolves a "+"-joined kernel list ("needle+matrixmul")
-// against the registry. At least two names make a multi-tenant mix.
-func parseStreams(spec string) ([]*workloads.Kernel, error) {
-	names := strings.Split(spec, "+")
-	if len(names) < 2 {
-		return nil, fmt.Errorf("-streams wants at least two \"+\"-joined kernels, got %q", spec)
-	}
-	kernels := make([]*workloads.Kernel, len(names))
-	for i, name := range names {
-		k, err := workloads.ByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		kernels[i] = k
-	}
-	return kernels, nil
-}
-
-// runStreamsAndReport executes a multi-tenant mix and prints the joint
-// report plus the per-stream attribution table.
-func runStreamsAndReport(r *core.Runner, kernels []*workloads.Kernel, cfg config.MemConfig) {
-	specs := make([]core.StreamSpec, len(kernels))
-	for i, k := range kernels {
-		specs[i] = core.StreamSpec{Kernel: k}
-	}
-	res, err := r.Run(core.RunSpec{Config: cfg, Streams: specs})
+	resp, err := runplan.Simulate(context.Background(), run, &runplan.Runners{}, 0)
 	var fit *core.FitError
 	if errors.As(err, &fit) {
-		fmt.Fprintf(os.Stderr, "smsim: %s cannot achieve co-residency of one CTA under %v: the binding resource is %v\n",
-			fit.Kernel, fit.Config, fit.Limiter)
-		fmt.Fprintln(os.Stderr, "smsim: raise that capacity (-rf/-shm/-cache/-total), raise -threads, or drop a stream")
+		what, hint := "residency", " or lower -regs/-threads"
+		if len(run.Streams) > 1 {
+			what, hint = "co-residency", ", raise -threads, or drop a stream"
+		}
+		fmt.Fprintf(os.Stderr, "smsim: %s cannot achieve %s of one CTA under %v: the binding resource is %v\n",
+			fit.Kernel, what, fit.Config, fit.Limiter)
+		fmt.Fprintf(os.Stderr, "smsim: raise that capacity (-rf/-shm/-cache/-total)%s\n", hint)
 		os.Exit(1)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "smsim:", err)
 		os.Exit(1)
 	}
+	if len(run.Streams) > 1 {
+		reportStreams(run, resp)
+	} else {
+		reportKernel(run, resp)
+	}
+}
 
-	c := res.Counters
-	fmt.Printf("%s (%d streams co-resident)\n", core.StreamNames(res.Spec.Streams), len(kernels))
+// reportStreams prints a multi-tenant mix's joint report plus the
+// per-stream attribution table.
+func reportStreams(run *runplan.Run, resp *api.RunResponse) {
+	c := resp.Counters
+	fmt.Printf("%s (%d streams co-resident)\n", resp.Kernel, len(run.Streams))
 	fmt.Printf("configuration: %v  threads=%d (%d CTAs jointly resident)\n",
-		cfg, res.Occupancy.Threads, res.Occupancy.CTAs)
+		run.Config, resp.Occupancy.Threads, resp.Occupancy.CTAs)
 	fmt.Println()
 
 	joint := report.NewTable("Joint execution",
@@ -243,45 +182,24 @@ func runStreamsAndReport(r *core.Runner, kernels []*workloads.Kernel, cfg config
 
 	per := report.NewTable("Per-stream attribution (counters sum exactly to the joint run)",
 		"stream", "CTAs", "threads", "limiter", "cycles", "warp insts", "IPC", "cache hit", "dram bytes")
-	for _, st := range res.Streams {
+	for _, st := range resp.Streams {
 		sc := st.Counters
 		per.AddRow(st.Kernel, fmt.Sprint(st.Occupancy.CTAs), fmt.Sprint(st.Occupancy.Threads),
-			fmt.Sprint(st.Occupancy.Limiter), fmt.Sprint(sc.Cycles), fmt.Sprint(sc.WarpInsts),
+			st.Occupancy.Limiter, fmt.Sprint(sc.Cycles), fmt.Sprint(sc.WarpInsts),
 			fmt.Sprintf("%.3f", sc.IPC()), report.Percent(sc.CacheHitRate()),
 			fmt.Sprint(sc.DRAMBytes()))
 	}
 	fmt.Print(per)
 	fmt.Println()
-
-	e := res.Energy
-	en := report.NewTable("Energy (J, joint run)",
-		"MRF", "ORF+LRF", "shared", "cache+tags", "other dyn", "leakage", "DRAM", "total")
-	en.AddRow(fmt.Sprintf("%.2e", e.MRF), fmt.Sprintf("%.2e", e.ORF+e.LRF),
-		fmt.Sprintf("%.2e", e.Shared), fmt.Sprintf("%.2e", e.Cache+e.Tags),
-		fmt.Sprintf("%.2e", e.Other), fmt.Sprintf("%.2e", e.Leak),
-		fmt.Sprintf("%.2e", e.DRAM), fmt.Sprintf("%.2e", e.Total()))
-	fmt.Print(en)
+	fmt.Print(energyTable("Energy (J, joint run)", resp.Energy))
 }
 
-// runAndReport executes the kernel and prints the full report.
-func runAndReport(r *core.Runner, k *workloads.Kernel, cfg config.MemConfig, regs int) {
-	res, err := r.Run(core.RunSpec{Kernel: k, Config: cfg, RegsPerThread: regs})
-	var fit *core.FitError
-	if errors.As(err, &fit) {
-		fmt.Fprintf(os.Stderr, "smsim: %s cannot achieve residency of one CTA under %v: the binding resource is %v\n",
-			fit.Kernel, fit.Config, fit.Limiter)
-		fmt.Fprintln(os.Stderr, "smsim: raise that capacity (-rf/-shm/-cache/-total) or lower -regs/-threads")
-		os.Exit(1)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "smsim:", err)
-		os.Exit(1)
-	}
-
-	c := res.Counters
+// reportKernel prints a plain kernel's full report.
+func reportKernel(run *runplan.Run, resp *api.RunResponse) {
+	k, c := run.Streams[0].Kernel, resp.Counters
 	fmt.Printf("%s (%s, %s)\n", k.Name, k.Suite, k.Description)
 	fmt.Printf("configuration: %v  threads=%d (limited by %v, %d CTAs)\n",
-		cfg, res.Occupancy.Threads, res.Occupancy.Limiter, res.Occupancy.CTAs)
+		run.Config, resp.Occupancy.Threads, resp.Occupancy.Limiter, resp.Occupancy.CTAs)
 	fmt.Println()
 
 	perf := report.NewTable("Execution",
@@ -315,13 +233,16 @@ func runAndReport(r *core.Runner, k *workloads.Kernel, cfg config.MemConfig, reg
 		report.Percent(c.MRFAccessFraction()))
 	fmt.Print(regtab)
 	fmt.Println()
+	fmt.Print(energyTable("Energy (J)", resp.Energy))
+}
 
-	e := res.Energy
-	en := report.NewTable("Energy (J)",
+// energyTable renders a run's energy breakdown.
+func energyTable(title string, e api.EnergyInfo) *report.Table {
+	t := report.NewTable(title,
 		"MRF", "ORF+LRF", "shared", "cache+tags", "other dyn", "leakage", "DRAM", "total")
-	en.AddRow(fmt.Sprintf("%.2e", e.MRF), fmt.Sprintf("%.2e", e.ORF+e.LRF),
+	t.AddRow(fmt.Sprintf("%.2e", e.MRF), fmt.Sprintf("%.2e", e.ORF+e.LRF),
 		fmt.Sprintf("%.2e", e.Shared), fmt.Sprintf("%.2e", e.Cache+e.Tags),
 		fmt.Sprintf("%.2e", e.Other), fmt.Sprintf("%.2e", e.Leak),
-		fmt.Sprintf("%.2e", e.DRAM), fmt.Sprintf("%.2e", e.Total()))
-	fmt.Print(en)
+		fmt.Sprintf("%.2e", e.DRAM), fmt.Sprintf("%.2e", e.Total))
+	return t
 }

@@ -1,6 +1,8 @@
 package repro_test
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -19,6 +21,25 @@ func runTool(t *testing.T, args ...string) string {
 	return string(out)
 }
 
+// cliPins are run-CLI invocations whose stdout is pinned byte for byte
+// under testdata/cli/<name>.txt: one per smsim design and report shape
+// (plain kernel and mix, flags and machine file) and both chipsim
+// shapes. "MACHINE" stands for the default machine file smsim
+// -emit-machine writes.
+var cliPins = []struct {
+	name string
+	tool string
+	args []string
+}{
+	{"smsim-baseline", "smsim", []string{"-kernel", "needle"}},
+	{"smsim-unified", "smsim", []string{"-kernel", "needle", "-design", "unified"}},
+	{"smsim-fermi", "smsim", []string{"-kernel", "bfs", "-design", "fermi"}},
+	{"smsim-streams", "smsim", []string{"-streams", "vectoradd+dwthaar1d", "-design", "unified"}},
+	{"smsim-machine-roundtrip", "smsim", []string{"-kernel", "pcr", "-machine", "MACHINE"}},
+	{"chipsim", "chipsim", []string{"-kernel", "vectoradd", "-sms", "2"}},
+	{"chipsim-streams", "chipsim", []string{"-streams", "vectoradd+needle", "-sms", "4"}},
+}
+
 // TestCLISmoke exercises every command end to end. It compiles and runs
 // each tool, so it is skipped in -short mode.
 func TestCLISmoke(t *testing.T) {
@@ -26,9 +47,35 @@ func TestCLISmoke(t *testing.T) {
 		t.Skip("CLI integration skipped in -short mode")
 	}
 	tmp := t.TempDir()
+	bin := filepath.Join(tmp, "bin")
+	if out, err := exec.Command("go", "build", "-o", bin+string(os.PathSeparator),
+		"./cmd/smsim", "./cmd/smprof", "./cmd/chipsim").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	// run executes a built tool, returning its stdout, its stderr, and
+	// its exit status.
+	run := func(t *testing.T, tool string, args ...string) (stdout, stderr string, status int) {
+		t.Helper()
+		var so, se bytes.Buffer
+		cmd := exec.Command(filepath.Join(bin, tool), args...)
+		cmd.Stdout, cmd.Stderr = &so, &se
+		err := cmd.Run()
+		var exit *exec.ExitError
+		switch {
+		case errors.As(err, &exit):
+			status = exit.ExitCode()
+		case err != nil:
+			t.Fatalf("%s: %v", tool, err)
+		}
+		return so.String(), se.String(), status
+	}
+	machineFile := filepath.Join(tmp, "machine.json")
+	if _, stderr, status := run(t, "smsim", "-emit-machine", machineFile); status != 0 {
+		t.Fatalf("smsim -emit-machine: exit %d\n%s", status, stderr)
+	}
 
 	t.Run("smsim-list", func(t *testing.T) {
-		out := runTool(t, "./cmd/smsim", "-list")
+		out, _, _ := run(t, "smsim", "-list")
 		for _, want := range []string{"needle", "dgemm", "register limited"} {
 			if !strings.Contains(out, want) {
 				t.Errorf("missing %q in -list output", want)
@@ -36,24 +83,45 @@ func TestCLISmoke(t *testing.T) {
 		}
 	})
 
-	t.Run("smsim-unified", func(t *testing.T) {
-		out := runTool(t, "./cmd/smsim", "-kernel", "needle", "-design", "unified")
-		if !strings.Contains(out, "threads=1024") || !strings.Contains(out, "Energy (J)") {
-			t.Errorf("unexpected smsim output:\n%s", out)
-		}
-	})
+	for _, pin := range cliPins {
+		t.Run(pin.name, func(t *testing.T) {
+			args := append([]string(nil), pin.args...)
+			for i, a := range args {
+				if a == "MACHINE" {
+					args[i] = machineFile
+				}
+			}
+			got, stderr, status := run(t, pin.tool, args...)
+			if status != 0 {
+				t.Fatalf("%s %s: exit %d\n%s", pin.tool, strings.Join(args, " "), status, stderr)
+			}
+			path := filepath.Join("testdata", "cli", pin.name+".txt")
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("%s %s diverged from %s\n--- got ---\n%s--- want ---\n%s",
+					pin.tool, strings.Join(args, " "), path, got, want)
+			}
+		})
+	}
 
-	t.Run("smsim-machine-roundtrip", func(t *testing.T) {
-		mf := filepath.Join(tmp, "machine.json")
-		runTool(t, "./cmd/smsim", "-emit-machine", mf)
-		if _, err := os.Stat(mf); err != nil {
-			t.Fatal(err)
-		}
-		out := runTool(t, "./cmd/smsim", "-kernel", "pcr", "-machine", mf)
-		if !strings.Contains(out, "partitioned rf=256K") {
-			t.Errorf("machine file not applied:\n%s", out)
-		}
-	})
+	// A Fermi-like total at or below the fixed register file leaves no
+	// shared memory or cache: the CLIs reject it as the service does.
+	for _, c := range []struct{ name, tool, total string }{
+		{"smsim-fermi-rejected", "smsim", "200"},
+		{"smprof-fermi-rejected", "smprof", "256"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			out, stderr, status := run(t, c.tool, "-kernel", "bfs", "-design", "fermi", "-total", c.total)
+			const want = "fermi_total_kb must exceed the fixed 256KB register file"
+			if status != 2 || !strings.Contains(stderr, want) {
+				t.Errorf("%s -total %s: exit %d, stderr %q; want exit 2 and %q\n%s",
+					c.tool, c.total, status, stderr, want, out)
+			}
+		})
+	}
 
 	t.Run("paper-figure8", func(t *testing.T) {
 		out := runTool(t, "./cmd/paper", "figure8")
@@ -86,16 +154,9 @@ func TestCLISmoke(t *testing.T) {
 		if !strings.Contains(out, "Instruction mix") || !strings.Contains(out, "LDG") {
 			t.Errorf("tracestat output:\n%s", out)
 		}
-		out = runTool(t, "./cmd/smsim", "-trace", tf, "-resident", "4")
+		out, _, _ = run(t, "smsim", "-trace", tf, "-resident", "4")
 		if !strings.Contains(out, "replayed") {
 			t.Errorf("replay output:\n%s", out)
-		}
-	})
-
-	t.Run("chipsim", func(t *testing.T) {
-		out := runTool(t, "./cmd/chipsim", "-kernel", "vectoradd", "-sms", "2")
-		if !strings.Contains(out, "single-SM model") || !strings.Contains(out, "sm1") {
-			t.Errorf("chipsim output:\n%s", out)
 		}
 	})
 }

@@ -79,6 +79,30 @@ func (s *shardSource) WarpTrace(cta, warp int) []isa.WarpInst {
 	return s.src.WarpTrace(cta*s.nSM+s.smIndex, warp)
 }
 
+// replicated serves factor copies of a kernel grid as one grid, so a
+// chip of factor SMs gives each SM one grid's worth of CTAs — the
+// paper's Section 5.1 premise that the chip behaves like copies of one
+// SM. CTA indices run past the source's own grid; the source generates
+// those CTAs like any other.
+type replicated struct {
+	src    TraceSource
+	factor int
+}
+
+// Replicated returns a source of factor copies of src's grid.
+func Replicated(src TraceSource, factor int) TraceSource {
+	return &replicated{src: src, factor: factor}
+}
+
+func (r *replicated) Grid() (int, int) {
+	ctas, warps := r.src.Grid()
+	return ctas * r.factor, warps
+}
+
+func (r *replicated) WarpTrace(cta, warp int) []isa.WarpInst {
+	return r.src.WarpTrace(cta, warp)
+}
+
 // Chip is a configured multi-SM machine.
 type Chip struct {
 	cfg Config

@@ -59,6 +59,45 @@ func TestChipRunsAllCTAs(t *testing.T) {
 	}
 }
 
+// TestReplicatedDealsOneGridPerSM checks the replicated-grid source: a
+// chip of N SMs over N copies of a grid gives every SM one grid's worth
+// of CTAs, and each CTA index reaches the wrapped source unchanged.
+func TestReplicatedDealsOneGridPerSM(t *testing.T) {
+	var asked []int
+	src := funcSource{ctas: 3, warps: 2, gen: func(cta, warp int) []isa.WarpInst {
+		if warp == 0 {
+			asked = append(asked, cta)
+		}
+		return computeKernel(cta, warp)
+	}}
+	rep := Replicated(src, 4)
+	if ctas, warps := rep.Grid(); ctas != 12 || warps != 2 {
+		t.Fatalf("Grid() = %d, %d; want 12, 2", ctas, warps)
+	}
+	c, err := New(Config{NumSMs: 4}, config.Baseline(), sm.DefaultParams(), rep, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sc := range res.PerSM {
+		if sc.CTAsRetired != 3 {
+			t.Errorf("SM %d retired %d CTAs, want one grid of 3", i, sc.CTAsRetired)
+		}
+	}
+	seen := map[int]bool{}
+	for _, cta := range asked {
+		seen[cta] = true
+	}
+	for cta := 0; cta < 12; cta++ {
+		if !seen[cta] {
+			t.Errorf("CTA %d never reached the source", cta)
+		}
+	}
+}
+
 func TestChipUnevenGrid(t *testing.T) {
 	src := funcSource{ctas: 10, warps: 1, gen: computeKernel}
 	c, err := New(Config{NumSMs: 4}, config.Baseline(), sm.DefaultParams(), src, 2)

@@ -268,7 +268,7 @@ func (r *Runner) prepare(spec RunSpec) (*run, error) {
 }
 
 // label names the run: the "+"-joined stream kernel names.
-func (p *run) label() string { return StreamNames(p.streams) }
+func (p *run) label() string { return streamNames(p.streams) }
 
 // smSpec builds the SM spec that simulates the run under params.
 func (p *run) smSpec(params sm.Params, prof *probe.Probe) sm.Spec {

@@ -34,9 +34,9 @@ type StreamResult struct {
 	Counters stats.Counters
 }
 
-// StreamNames joins the streams' kernel names with "+", the run's
+// streamNames joins the streams' kernel names with "+", the run's
 // display label (e.g. "fft+matmul").
-func StreamNames(streams []StreamSpec) string {
+func streamNames(streams []StreamSpec) string {
 	names := make([]string, len(streams))
 	for i, st := range streams {
 		names[i] = st.Kernel.Name

@@ -2,72 +2,13 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
-	"repro/internal/config"
-	"repro/internal/core"
+	"repro/api"
 	"repro/internal/probe"
 	"repro/internal/report"
-	"repro/internal/workloads"
+	"repro/internal/runplan"
 )
-
-// ProfileSpec describes one observed run for Profile.
-type ProfileSpec struct {
-	// Kernel is the benchmark name (workloads registry).
-	Kernel string
-	// Streams, when non-empty, profiles a multi-tenant mix instead: the
-	// named kernels run co-resident on one SM and the probe attributes
-	// issue and stall slots per stream. Mutually exclusive with Kernel;
-	// RegsPerThread applies only to a one-kernel list (the streams of a
-	// mix each use their spill-free demand).
-	Streams []string
-	// Config is the local-memory configuration to run under.
-	Config config.MemConfig
-	// RegsPerThread overrides the register allocation (0 = spill-free).
-	RegsPerThread int
-	// IntervalCycles is the probe sampling interval (0 = default).
-	IntervalCycles int64
-	// NDJSON, when non-nil, receives the streamed NDJSON profile.
-	NDJSON io.Writer
-}
-
-// ProfileResult pairs a run's outcome with its probe.
-type ProfileResult struct {
-	Result *core.Result
-	Probe  *probe.Probe
-}
-
-// Profile runs one kernel with a cycle-level probe attached. It is the
-// engine behind cmd/smprof and usable directly from tests.
-func Profile(r *core.Runner, ps ProfileSpec) (*ProfileResult, error) {
-	p := probe.New(ps.IntervalCycles, ps.NDJSON)
-	names := ps.Streams
-	if len(names) == 0 {
-		names = []string{ps.Kernel}
-	} else if ps.Kernel != "" {
-		return nil, fmt.Errorf("harness: ProfileSpec.Kernel and ProfileSpec.Streams are mutually exclusive")
-	}
-	spec := core.RunSpec{Config: ps.Config}
-	for _, name := range names {
-		k, err := workloads.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		spec.Streams = append(spec.Streams, core.StreamSpec{Kernel: k})
-	}
-	if len(spec.Streams) == 1 {
-		spec.Streams[0].RegsPerThread = ps.RegsPerThread
-	}
-	res, err := r.Run(spec, core.WithProbe(p))
-	if err != nil {
-		return nil, err
-	}
-	if werr := p.WriteErr(); werr != nil {
-		return nil, fmt.Errorf("harness: writing NDJSON profile: %w", werr)
-	}
-	return &ProfileResult{Result: res, Probe: p}, nil
-}
 
 // stallLabels are the human-readable stall category names, in
 // probe.StallReason order.
@@ -83,10 +24,11 @@ const sparkWidth = 72
 // StallTable renders the issue-slot attribution breakdown. Every slot
 // of the run is either an issued instruction or charged to exactly one
 // stall category, so the rows sum to the total row exactly.
-func StallTable(p *probe.Probe) *report.Table {
-	total := p.TotalSlots()
+func StallTable(p *probe.Profile) *report.Table {
+	sum := p.Summary
+	total := sum.Slots
 	t := report.NewTable(
-		fmt.Sprintf("Stall attribution (%d issue slots from cycle %d)", total, p.StartCycle()),
+		fmt.Sprintf("Stall attribution (%d issue slots from cycle %d)", total, sum.Start),
 		"category", "slots", "share")
 	share := func(n int64) string {
 		if total == 0 {
@@ -94,9 +36,8 @@ func StallTable(p *probe.Probe) *report.Table {
 		}
 		return report.Percent(float64(n) / float64(total))
 	}
-	t.AddRow("issued", fmt.Sprint(p.Issued()), share(p.Issued()))
-	stalls := p.StallSlots()
-	for i, n := range stalls {
+	t.AddRow("issued", fmt.Sprint(sum.Issued), share(sum.Issued))
+	for i, n := range sum.Stalls {
 		t.AddRow(stallLabels[i], fmt.Sprint(n), share(n))
 	}
 	t.AddRow("total", fmt.Sprint(total), share(total))
@@ -108,13 +49,12 @@ func StallTable(p *probe.Probe) *report.Table {
 // StallTable. Each row's slots are the stream's share; the rows sum to
 // the aggregate table's slots (minus none — the probe's conservation
 // invariant).
-func StreamStallTable(p *probe.Probe) *report.Table {
+func StreamStallTable(p *probe.Profile) *report.Table {
 	cols := append([]string{"stream", "issued"}, stallLabels[:]...)
 	t := report.NewTable("Per-stream stall attribution", cols...)
-	for i := 0; i < p.NumStreams(); i++ {
-		stalls := p.StreamStalls(i)
-		row := []string{p.StreamName(i), fmt.Sprint(p.StreamIssued(i))}
-		for _, n := range stalls {
+	for _, st := range p.Streams {
+		row := []string{st.Name, fmt.Sprint(st.Issued)}
+		for _, n := range st.Stalls {
 			row = append(row, fmt.Sprint(n))
 		}
 		t.AddRow(row...)
@@ -124,8 +64,8 @@ func StreamStallTable(p *probe.Probe) *report.Table {
 
 // FormatBankHeat renders the per-bank access/conflict heatmap: one
 // sparkline column per physical bank, plus the hot-bank summary.
-func FormatBankHeat(p *probe.Probe) string {
-	access, conflict := p.BankHeat()
+func FormatBankHeat(p *probe.Profile) string {
+	access, conflict := p.Summary.BankAccess, p.Summary.BankConflict
 	acc := make([]float64, len(access))
 	conf := make([]float64, len(conflict))
 	totalAcc, totalConf, hot := int64(0), int64(0), 0
@@ -152,8 +92,8 @@ func FormatBankHeat(p *probe.Probe) string {
 
 // FormatIntervals renders the sampled time series as sparklines: issue
 // rate, stall fraction, cache hit rate, and DRAM traffic per window.
-func FormatIntervals(p *probe.Probe) string {
-	ivs := p.Intervals()
+func FormatIntervals(p *probe.Profile) string {
+	ivs := p.Intervals
 	if len(ivs) == 0 {
 		return ""
 	}
@@ -176,7 +116,7 @@ func FormatIntervals(p *probe.Probe) string {
 		dram[i] = float64(iv.DRAMBytes)
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Phases (%d intervals of %d cycles)\n", len(ivs), p.IntervalCycles())
+	fmt.Fprintf(&sb, "Phases (%d intervals of %d cycles)\n", len(ivs), p.IntervalCycles)
 	fmt.Fprintf(&sb, "  issue rate  %s\n", report.Sparkline(report.Downsample(issue, sparkWidth)))
 	fmt.Fprintf(&sb, "  stall rate  %s\n", report.Sparkline(report.Downsample(stall, sparkWidth)))
 	fmt.Fprintf(&sb, "  cache hits  %s\n", report.Sparkline(report.Downsample(hit, sparkWidth)))
@@ -184,22 +124,23 @@ func FormatIntervals(p *probe.Probe) string {
 	return sb.String()
 }
 
-// FormatProfile renders the full cmd/smprof report for one profiled run.
-func FormatProfile(pr *ProfileResult) string {
-	res, p := pr.Result, pr.Probe
-	c := res.Counters
+// FormatProfile renders the full cmd/smprof report of a probed run:
+// the header from the resolved run and its response, the rest from the
+// response's decoded NDJSON profile (which must be complete, with a
+// summary record).
+func FormatProfile(run *runplan.Run, resp *api.RunResponse, p *probe.Profile) string {
+	c, occ := resp.Counters, resp.Occupancy
 	var sb strings.Builder
-	residency := fmt.Sprintf("%d CTAs, limited by %v", res.Occupancy.CTAs, res.Occupancy.Limiter)
-	if len(res.Streams) > 1 {
-		residency = fmt.Sprintf("%d CTAs jointly resident", res.Occupancy.CTAs)
+	residency := fmt.Sprintf("%d CTAs, limited by %v", occ.CTAs, occ.Limiter)
+	if len(run.Streams) > 1 {
+		residency = fmt.Sprintf("%d CTAs jointly resident", occ.CTAs)
 	}
-	fmt.Fprintf(&sb, "%s under %v: threads=%d (%s)\n",
-		core.StreamNames(res.Spec.Streams), res.Spec.Config, res.Occupancy.Threads, residency)
+	fmt.Fprintf(&sb, "%s under %v: threads=%d (%s)\n", resp.Kernel, run.Config, occ.Threads, residency)
 	fmt.Fprintf(&sb, "cycles=%d  warp IPC=%.3f  thread IPC=%.2f  cache hit=%s  dram=%dB\n\n",
-		c.Cycles, c.IPC(), res.IPC(), report.Percent(c.CacheHitRate()), c.DRAMBytes())
+		c.Cycles, c.IPC(), resp.IPC, report.Percent(c.CacheHitRate()), c.DRAMBytes())
 	sb.WriteString(StallTable(p).String())
 	sb.WriteByte('\n')
-	if p.NumStreams() > 1 {
+	if len(p.Streams) > 1 {
 		sb.WriteString(StreamStallTable(p).String())
 		sb.WriteByte('\n')
 	}

@@ -2,17 +2,21 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/api"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/probe"
+	"repro/internal/runplan"
 	"repro/internal/workloads"
 )
 
@@ -22,6 +26,47 @@ var profileConfig = config.MemConfig{
 	RFBytes:     config.BaselineRFBytes,
 	SharedBytes: config.BaselineSharedBytes,
 	CacheBytes:  config.BaselineCacheBytes,
+}
+
+// probedRun runs kernel name under profileConfig with a fresh probe
+// attached, sampling every interval cycles and streaming NDJSON to
+// ndjson when it is non-nil.
+func probedRun(t *testing.T, name string, interval int64, ndjson io.Writer) (*core.Result, *probe.Probe) {
+	t.Helper()
+	k, err := workloads.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := probe.New(interval, ndjson)
+	res, err := core.NewRunner().Run(core.RunSpec{Kernel: k, Config: profileConfig}, core.WithProbe(p))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return res, p
+}
+
+// profileRun makes a probed run of req the way cmd/smprof does —
+// resolved and simulated through runplan — and decodes the response's
+// NDJSON profile.
+func profileRun(t *testing.T, req api.RunRequest) (*runplan.Run, *api.RunResponse, *probe.Profile) {
+	t.Helper()
+	req.Probe = true
+	run, err := runplan.Resolve(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := runplan.Simulate(context.Background(), run, &runplan.Runners{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := probe.Decode(strings.NewReader(resp.ProbeNDJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prof.Summary == nil {
+		t.Fatal("profile has no summary record")
+	}
+	return run, resp, prof
 }
 
 // TestProbeDoesNotPerturbRun pins the observability contract: attaching
@@ -59,11 +104,8 @@ func TestProbeDoesNotPerturbRun(t *testing.T) {
 // slots, and the interval series re-sums to the same totals.
 func TestProbeSlotsAccountForEveryCycle(t *testing.T) {
 	for _, name := range []string{"needle", "dgemm", "bfs"} {
-		pr, err := Profile(core.NewRunner(), ProfileSpec{Kernel: name, Config: profileConfig})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		p, c := pr.Probe, pr.Result.Counters
+		res, p := probedRun(t, name, 0, nil)
+		c := res.Counters
 		covered := c.Cycles - p.StartCycle()
 		// The final slot is inclusive when the run's last event is an
 		// issue at the reported cycle, so allow covered or covered+1.
@@ -94,13 +136,7 @@ func TestProbeSlotsAccountForEveryCycle(t *testing.T) {
 // live probe.
 func TestProfileNDJSONRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	pr, err := Profile(core.NewRunner(), ProfileSpec{
-		Kernel: "needle", Config: profileConfig, IntervalCycles: 2048, NDJSON: &buf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := pr.Probe
+	res, p := probedRun(t, "needle", 2048, &buf)
 	prof, err := probe.Decode(&buf)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
@@ -130,56 +166,67 @@ func TestProfileNDJSONRoundTrip(t *testing.T) {
 	if prof.Summary.BankAccess != acc || prof.Summary.BankConflict != conf {
 		t.Errorf("decoded bank heat does not match the live probe")
 	}
-	if prof.Summary.CacheProbes != pr.Result.Counters.CacheProbes {
+	if prof.Summary.CacheProbes != res.Counters.CacheProbes {
 		t.Errorf("summary cache probes = %d, want %d",
-			prof.Summary.CacheProbes, pr.Result.Counters.CacheProbes)
+			prof.Summary.CacheProbes, res.Counters.CacheProbes)
 	}
 }
 
-// TestProbeParallelFanOut attaches a fresh probe to every run of an
-// 8-worker fan-out — the pattern experiment drivers use — and checks
-// each run's profile is self-consistent. Run under -race this also
-// verifies probes introduce no shared mutable state across runs.
+// TestProbeParallelFanOut executes probed runs on an 8-worker fan-out —
+// runplan.Execute, the path batches and jobs take — and checks each
+// run's decoded profile is self-consistent. Every run attaches a fresh
+// probe, so under -race this also verifies probes introduce no shared
+// mutable state across runs.
 func TestProbeParallelFanOut(t *testing.T) {
 	old := parallel.Workers()
 	parallel.SetWorkers(8)
 	defer parallel.SetWorkers(old)
 
-	r := core.NewRunner()
 	kernels := []string{"needle", "bfs", "dgemm", "needle", "bfs", "dgemm", "needle", "bfs"}
-	profs, err := parallel.Map(len(kernels), func(i int) (*ProfileResult, error) {
-		return Profile(r, ProfileSpec{Kernel: kernels[i], Config: profileConfig, NDJSON: &bytes.Buffer{}})
-	})
+	runs := make([]*runplan.Run, len(kernels))
+	for i, name := range kernels {
+		var err error
+		if runs[i], err = runplan.Resolve(api.RunRequest{Kernel: name, Probe: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	items, err := runplan.Execute(runs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, pr := range profs {
-		if pr.Probe.TotalSlots() == 0 || pr.Probe.Issued() == 0 {
-			t.Errorf("run %d (%s): empty profile", i, kernels[i])
+	for i, it := range items {
+		if it.Result == nil {
+			t.Fatalf("run %d (%s): %+v", i, kernels[i], it.Error)
 		}
-		if pr.Probe.Issued() != pr.Result.Counters.WarpInsts {
+		prof, err := probe.Decode(strings.NewReader(it.Result.ProbeNDJSON))
+		if err != nil {
+			t.Fatalf("run %d (%s): %v", i, kernels[i], err)
+		}
+		sum := prof.Summary
+		if sum == nil || sum.Slots == 0 || sum.Issued == 0 {
+			t.Errorf("run %d (%s): empty profile", i, kernels[i])
+			continue
+		}
+		if sum.Issued != it.Result.Counters.WarpInsts {
 			t.Errorf("run %d (%s): issued %d != warp insts %d",
-				i, kernels[i], pr.Probe.Issued(), pr.Result.Counters.WarpInsts)
+				i, kernels[i], sum.Issued, it.Result.Counters.WarpInsts)
 		}
 	}
 	// Identical kernels must produce identical profiles regardless of
 	// which worker ran them.
-	if profs[0].Probe.StallSlots() != profs[3].Probe.StallSlots() {
-		t.Error("identical runs produced different stall breakdowns across workers")
+	if items[0].Result.ProbeNDJSON != items[3].Result.ProbeNDJSON {
+		t.Error("identical runs produced different profiles across workers")
 	}
 }
 
 // TestFormatProfile sanity-checks the rendered report.
 func TestFormatProfile(t *testing.T) {
-	pr, err := Profile(core.NewRunner(), ProfileSpec{Kernel: "needle", Config: profileConfig})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := FormatProfile(pr)
+	run, resp, prof := profileRun(t, api.RunRequest{Kernel: "needle"})
+	out := FormatProfile(run, resp, prof)
 	for _, want := range []string{
 		"Stall attribution", "issued", "no ready warp", "total",
 		"Bank heatmap", "Phases",
-		fmt.Sprint(pr.Probe.TotalSlots()),
+		fmt.Sprint(prof.Summary.Slots),
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
@@ -187,21 +234,26 @@ func TestFormatProfile(t *testing.T) {
 	}
 }
 
-// profileGoldens are the probe outputs pinned byte for byte: the NDJSON
-// stream of a single-kernel run and of a two-stream mix, and the
-// rendered smprof report of the mix (aggregate and per-stream stall
-// tables). Regenerate with
+// profileGoldens are the probe outputs of smprof's path (a probed
+// runplan run on the baseline machine) pinned byte for byte: the NDJSON
+// stream and the rendered smprof report of a single-kernel run and of a
+// two-stream mix (whose report adds the per-stream stall table).
+// Regenerate with
 //
 //	go test ./internal/harness -run TestProfileGoldens -update
 var profileGoldens = []struct {
 	file   string
-	spec   ProfileSpec
+	req    api.RunRequest
 	ndjson bool // pin the NDJSON stream, else the rendered report
 }{
-	{"needle.ndjson", ProfileSpec{Kernel: "needle", Config: profileConfig}, true},
-	{"needle+matrixmul.ndjson", ProfileSpec{Streams: []string{"needle", "matrixmul"}, Config: profileConfig}, true},
-	{"needle+matrixmul.txt", ProfileSpec{Streams: []string{"needle", "matrixmul"}, Config: profileConfig}, false},
+	{"needle.ndjson", api.RunRequest{Kernel: "needle"}, true},
+	{"needle.txt", api.RunRequest{Kernel: "needle"}, false},
+	{"needle+matrixmul.ndjson", mixRequest, true},
+	{"needle+matrixmul.txt", mixRequest, false},
 }
+
+// mixRequest is the two-stream mix of the profile goldens.
+var mixRequest = api.RunRequest{Streams: []api.StreamRequest{{Kernel: "needle"}, {Kernel: "matrixmul"}}}
 
 // TestProfileGoldens pins the probe's NDJSON bytes and the smprof
 // stall-table text against testdata/profile, so a change to the probe
@@ -216,18 +268,10 @@ func TestProfileGoldens(t *testing.T) {
 	}
 	for _, g := range profileGoldens {
 		t.Run(g.file, func(t *testing.T) {
-			var buf bytes.Buffer
-			spec := g.spec
-			if g.ndjson {
-				spec.NDJSON = &buf
-			}
-			pr, err := Profile(core.NewRunner(), spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := buf.String()
+			run, resp, prof := profileRun(t, g.req)
+			got := resp.ProbeNDJSON
 			if !g.ndjson {
-				got = FormatProfile(pr)
+				got = FormatProfile(run, resp, prof)
 			}
 			path := filepath.Join(dir, g.file)
 			if *update {

@@ -163,17 +163,18 @@ func (d Description) Resolve() (config.MemConfig, sm.Params, energy.Params, erro
 	return cfg, p, e, nil
 }
 
-// Load reads and resolves a machine file.
-func Load(path string) (config.MemConfig, sm.Params, energy.Params, error) {
+// Load reads a machine file. Its zero-valued fields take the paper's
+// defaults when the description is resolved.
+func Load(path string) (Description, error) {
+	var d Description
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return config.MemConfig{}, sm.Params{}, energy.Params{}, err
+		return d, err
 	}
-	var d Description
 	if err := json.Unmarshal(data, &d); err != nil {
-		return config.MemConfig{}, sm.Params{}, energy.Params{}, fmt.Errorf("machine: %s: %w", path, err)
+		return d, fmt.Errorf("machine: %s: %w", path, err)
 	}
-	return d.Resolve()
+	return d, nil
 }
 
 // Save writes a machine file (pretty-printed).

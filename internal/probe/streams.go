@@ -32,9 +32,6 @@ func (p *Probe) SetStreams(names []string, counters []stats.Counters) {
 // NumStreams returns the number of declared streams.
 func (p *Probe) NumStreams() int { return len(p.streamNames) }
 
-// StreamName returns the label of stream i.
-func (p *Probe) StreamName(i int) string { return p.streamNames[i] }
-
 // StreamIssued returns the instructions issued by stream i.
 func (p *Probe) StreamIssued(i int) int64 { return p.streamTallies[i].Issued }
 
