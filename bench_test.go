@@ -105,7 +105,7 @@ func BenchmarkFigure9(b *testing.B) {
 		}
 		geomean = math.Pow(prod, 1/float64(len(comps)))
 		if i == 0 && *benchTables {
-			t, err := harness.Figure9(r)
+			t, err := harness.Run(r, "figure9")
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -11,7 +11,7 @@
 //	paper                       # regenerate everything, all CPUs
 //	paper -j 1 figure9 table6   # selected experiments, serial
 //	paper -csv figure2          # machine-readable output
-//	paper -md                   # markdown tables (EXPERIMENTS.measured.md)
+//	paper -md                   # markdown tables with headings
 package main
 
 import (
@@ -29,7 +29,7 @@ import (
 
 func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	md := flag.Bool("md", false, "emit markdown tables with headings (regenerates EXPERIMENTS.measured.md)")
+	md := flag.Bool("md", false, "emit markdown tables with headings")
 	chart := flag.Bool("chart", false, "render capacity sweeps as ASCII charts (figure2/3/4/11)")
 	jobs := flag.Int("j", runtime.NumCPU(), "parallel simulation workers (1 = serial)")
 	prof := profiling.AddFlags(flag.CommandLine)
@@ -52,16 +52,6 @@ func main() {
 	}
 	r := core.NewRunner()
 	total := time.Now()
-	if *md {
-		// The preamble makes the generated file self-describing when
-		// committed as EXPERIMENTS.measured.md.
-		fmt.Println("# Measured results")
-		fmt.Println()
-		fmt.Println("Generated by `go run ./cmd/paper -md`; do not edit by hand.")
-		fmt.Println("EXPERIMENTS.md is the annotated companion; CI diffs this file")
-		fmt.Println("against a fresh regeneration (non-gating) to surface drift.")
-		fmt.Println()
-	}
 	for _, name := range names {
 		start := time.Now()
 		if *chart {

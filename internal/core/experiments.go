@@ -368,17 +368,6 @@ func (r *Runner) CompareUnified(k *workloads.Kernel, totalBytes int) (Comparison
 	return r.compare(k, cfg)
 }
 
-// CompareFermi runs a kernel under the Fermi-like limited design (fixed
-// 256 KB register file, shared/cache split chosen per kernel from two
-// presets) and compares with baseline.
-func (r *Runner) CompareFermi(k *workloads.Kernel, totalBytes int) (Comparison, error) {
-	cfg, err := FermiMachine(config.FermiLike.String(), totalBytes).Configure(k)
-	if err != nil {
-		return Comparison{}, err
-	}
-	return r.compare(k, cfg)
-}
-
 func (r *Runner) compare(k *workloads.Kernel, cfg config.MemConfig) (Comparison, error) {
 	base, err := r.Baseline(k)
 	if err != nil {
@@ -590,15 +579,6 @@ func geomean(prod float64, n int) float64 {
 		return 0
 	}
 	return math.Pow(prod, 1/float64(n))
-}
-
-// Figure11Point is one (blocking factor, thread count) needle measurement.
-type Figure11Point struct {
-	BF         int
-	Threads    int
-	SharedKB   int
-	Perf       float64
-	Infeasible bool
 }
 
 // Figure11BlockingFactors are the needle variants of the tuning study.

@@ -7,438 +7,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// comparisonsByName indexes a comparison list.
-func comparisonsByName(comps []Comparison) map[string]Comparison {
-	m := make(map[string]Comparison, len(comps))
-	for _, c := range comps {
-		m[c.Benchmark] = c
-	}
-	return m
-}
-
-// TestFigure9Shape checks the paper's headline result: the benefit set
-// gains 4-71% under the 384 KB unified design, needle is the largest
-// winner, energy drops, and dgemm alone sees no DRAM reduction.
-func TestFigure9Shape(t *testing.T) {
-	r := NewRunner()
-	comps, err := r.Figure9()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comps) != 8 {
-		t.Fatalf("benefit set has %d benchmarks, want 8", len(comps))
-	}
-	byName := comparisonsByName(comps)
-	best := ""
-	bestPerf := 0.0
-	for _, c := range comps {
-		t.Logf("%-8s perf=%.3f energy=%.3f dram=%.3f", c.Benchmark, c.PerfRatio, c.EnergyRatio, c.DRAMRatio)
-		if c.PerfRatio < 0.97 {
-			t.Errorf("%s: unified slower than baseline (%.3f)", c.Benchmark, c.PerfRatio)
-		}
-		if c.PerfRatio > 2.2 {
-			t.Errorf("%s: implausible speedup %.3f (paper max 1.71)", c.Benchmark, c.PerfRatio)
-		}
-		if c.EnergyRatio > 1.05 {
-			t.Errorf("%s: unified raises energy by %.1f%%", c.Benchmark, 100*(c.EnergyRatio-1))
-		}
-		if c.PerfRatio > bestPerf {
-			best, bestPerf = c.Benchmark, c.PerfRatio
-		}
-	}
-	if best != "needle" {
-		t.Errorf("largest winner is %s (%.2fx), want needle", best, bestPerf)
-	}
-	if bestPerf < 1.4 || bestPerf > 2.0 {
-		t.Errorf("needle speedup %.2fx outside the paper's ballpark (1.71x)", bestPerf)
-	}
-	// dgemm gains from threads, not cache: its DRAM traffic must not drop
-	// meaningfully (the paper singles it out).
-	if dg := byName["dgemm"]; dg.DRAMRatio < 0.97 || dg.DRAMRatio > 1.05 {
-		t.Errorf("dgemm DRAM ratio = %.3f, want ~1.0 (no reduction)", dg.DRAMRatio)
-	}
-	// Everyone else sees some DRAM reduction (1-32% in the paper).
-	for _, c := range comps {
-		if c.Benchmark == "dgemm" || c.Benchmark == "needle" {
-			continue
-		}
-		if c.DRAMRatio > 1.01 {
-			t.Errorf("%s: DRAM traffic grew under unified (%.3f)", c.Benchmark, c.DRAMRatio)
-		}
-	}
-}
-
-// TestFigure7Shape checks that the no-benefit set is essentially unchanged
-// under the unified design (the paper: within ~1%; we allow a few percent).
-func TestFigure7Shape(t *testing.T) {
-	r := NewRunner()
-	comps, err := r.Figure7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comps) != 18 {
-		t.Fatalf("no-benefit set has %d benchmarks, want 18", len(comps))
-	}
-	for _, c := range comps {
-		t.Logf("%-18s perf=%.3f energy=%.3f", c.Benchmark, c.PerfRatio, c.EnergyRatio)
-		if c.PerfRatio < 0.93 || c.PerfRatio > 1.10 {
-			t.Errorf("%s: |perf change| too large for the no-benefit set: %.3f", c.Benchmark, c.PerfRatio)
-		}
-		if c.EnergyRatio < 0.90 || c.EnergyRatio > 1.07 {
-			t.Errorf("%s: |energy change| too large for the no-benefit set: %.3f", c.Benchmark, c.EnergyRatio)
-		}
-	}
-}
-
-// TestTable1Shape checks the characterization invariants: spill overhead
-// shrinks monotonically with the register budget and vanishes at 64
-// registers; DRAM traffic shrinks monotonically with cache capacity; the
-// register-limited group actually spills at 18 registers.
-func TestTable1Shape(t *testing.T) {
-	r := NewRunner()
-	rows, err := r.Table1(workloads.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 26 {
-		t.Fatalf("Table 1 has %d rows, want 26", len(rows))
-	}
-	for _, row := range rows {
-		for i := 1; i < len(row.DynInstRatio); i++ {
-			if row.DynInstRatio[i] > row.DynInstRatio[i-1]+1e-9 {
-				t.Errorf("%s: spill ratio grew with budget: %v", row.Name, row.DynInstRatio)
-				break
-			}
-		}
-		if row.DynInstRatio[4] != 1 {
-			t.Errorf("%s: spills remain at 64 registers (%.3f)", row.Name, row.DynInstRatio[4])
-		}
-		if row.DRAMNorm[0] < row.DRAMNorm[1]-1e-9 && row.Name != "needle" && row.Name != "ray" {
-			t.Errorf("%s: uncached DRAM below 64KB-cached (%v); only scatter-heavy kernels may invert",
-				row.Name, row.DRAMNorm)
-		}
-		if row.DRAMNorm[1] < row.DRAMNorm[2]-1e-9 {
-			t.Errorf("%s: DRAM grew from 64KB to 256KB cache: %v", row.Name, row.DRAMNorm)
-		}
-	}
-	byName := make(map[string]Table1Row, len(rows))
-	for _, row := range rows {
-		byName[row.Name] = row
-	}
-	for _, name := range []string{"dgemm", "pcr", "bicubic", "ray"} {
-		if byName[name].DynInstRatio[0] < 1.1 {
-			t.Errorf("%s is register limited but shows no spills at 18 regs (%.3f)",
-				name, byName[name].DynInstRatio[0])
-		}
-	}
-	for _, name := range []string{"needle", "bfs", "vectoradd", "sgemv"} {
-		if byName[name].DynInstRatio[0] > 1.02 {
-			t.Errorf("%s needs <=18 regs but spills at 18 (%.3f)", name, byName[name].DynInstRatio[0])
-		}
-	}
-	// Full-occupancy register file sizes, Table 1 column 8.
-	if byName["dgemm"].RFFullOccupancyKB != 228 || byName["bfs"].RFFullOccupancyKB != 36 {
-		t.Errorf("RF full-occupancy sizes wrong: dgemm=%dK bfs=%dK",
-			byName["dgemm"].RFFullOccupancyKB, byName["bfs"].RFFullOccupancyKB)
-	}
-	// Cache-sensitive workloads keep improving beyond 64 KB. (lu is
-	// exempt: its reproduction trades the depth of this column for its
-	// calibrated Figure 9 speedup — see EXPERIMENTS.md.)
-	for _, name := range []string{"bfs", "pcr"} {
-		if byName[name].DRAMNorm[1] < 1.05 {
-			t.Errorf("%s: expected >5%% extra DRAM at 64KB vs 256KB, got %.3f",
-				name, byName[name].DRAMNorm[1])
-		}
-	}
-	// Streaming workloads blow up without a cache (coalescing loss).
-	if byName["vectoradd"].DRAMNorm[0] < 2 {
-		t.Errorf("vectoradd uncached DRAM = %.2f, want ~4x (paper 3.88)", byName["vectoradd"].DRAMNorm[0])
-	}
-}
-
-// TestFigure2Shape checks the register-capacity study: dgemm needs both
-// many registers and many threads; needle is insensitive to both.
-func TestFigure2Shape(t *testing.T) {
-	r := NewRunner()
-	sweeps, err := r.Figure2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	find := func(bench string, regs, threads int) SweepPoint {
-		for _, sw := range sweeps {
-			if sw.Benchmark != bench {
-				continue
-			}
-			for _, p := range sw.Points {
-				if p.Regs == regs && p.Threads == threads {
-					return p
-				}
-			}
-		}
-		t.Fatalf("missing point %s regs=%d threads=%d", bench, regs, threads)
-		return SweepPoint{}
-	}
-	// dgemm: spills at 18 registers must hurt at full thread count.
-	if p18, p64 := find("dgemm", 18, 1024), find("dgemm", 64, 1024); p18.Perf > 0.9*p64.Perf {
-		t.Errorf("dgemm at 18 regs (%.3f) should lose >10%% vs 64 regs (%.3f)", p18.Perf, p64.Perf)
-	}
-	// dgemm: fewer threads at full registers must hurt.
-	if p256 := find("dgemm", 64, 256); p256.Perf > 0.9 {
-		t.Errorf("dgemm at 256 threads = %.3f, want visible latency penalty", p256.Perf)
-	}
-	// needle: 18 registers suffice (no spill penalty).
-	if p18, p64 := find("needle", 18, 512), find("needle", 64, 512); p18.Perf < 0.97*p64.Perf {
-		t.Errorf("needle at 18 regs (%.3f) should match 64 regs (%.3f)", p18.Perf, p64.Perf)
-	}
-}
-
-// TestFigure3Shape checks the shared-memory study: needle and lu gain from
-// threads (hence capacity), sto much less.
-func TestFigure3Shape(t *testing.T) {
-	r := NewRunner()
-	sweeps, err := r.Figure3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	perfAt := func(bench string, threads int) float64 {
-		for _, sw := range sweeps {
-			if sw.Benchmark != bench {
-				continue
-			}
-			for _, p := range sw.Points {
-				if p.Threads == threads && !p.Infeasible {
-					return p.Perf
-				}
-			}
-		}
-		t.Fatalf("missing point %s threads=%d", bench, threads)
-		return 0
-	}
-	if gain := 1 / perfAt("needle", 256); gain < 1.3 {
-		t.Errorf("needle 256->1024 threads gain = %.2fx, want strong scaling", gain)
-	}
-	if gain := 1 / perfAt("sto", 256); gain > 1.35 {
-		t.Errorf("sto 256->1024 threads gain = %.2fx; sto should run well at low occupancy", gain)
-	}
-}
-
-// TestFigure4Shape checks the cache study: bfs and pcr keep improving with
-// cache capacity; needle is nearly flat.
-func TestFigure4Shape(t *testing.T) {
-	r := NewRunner()
-	sweeps, err := r.Figure4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	perfAt := func(bench string, threads, capacityKB int) float64 {
-		for _, sw := range sweeps {
-			if sw.Benchmark != bench {
-				continue
-			}
-			for _, p := range sw.Points {
-				if p.Threads == threads && p.CapacityKB == capacityKB && !p.Infeasible {
-					return p.Perf
-				}
-			}
-		}
-		t.Fatalf("missing point %s threads=%d cap=%d", bench, threads, capacityKB)
-		return 0
-	}
-	for _, bench := range []string{"bfs", "pcr"} {
-		small, large := perfAt(bench, 1024, 32), perfAt(bench, 1024, 512)
-		if large < 1.05*small {
-			t.Errorf("%s: 512KB cache (%.3f) should clearly beat 32KB (%.3f)", bench, large, small)
-		}
-	}
-	small, large := perfAt("needle", 1024, 32), perfAt("needle", 1024, 512)
-	if large > 1.15*small {
-		t.Errorf("needle should be cache-insensitive: 32KB=%.3f 512KB=%.3f", small, large)
-	}
-}
-
-// TestTable5Shape checks the conflict breakdown: both designs are
-// dominated by conflict-free instructions, and the unified design shows a
-// small increase in multi-access instructions (the paper: +0.6pp).
-func TestTable5Shape(t *testing.T) {
-	r := NewRunner()
-	rows, err := r.Table5()
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, uni := rows[0], rows[1]
-	t.Logf("partitioned: %v", part.Fractions)
-	t.Logf("unified:     %v", uni.Fractions)
-	if part.Machine != config.Partitioned.String() || uni.Machine != config.Unified.String() {
-		t.Fatal("rows out of order")
-	}
-	if part.Fractions[0] < 0.90 || uni.Fractions[0] < 0.90 {
-		t.Errorf("conflict-free fraction too low: part=%.3f uni=%.3f",
-			part.Fractions[0], uni.Fractions[0])
-	}
-	if uni.Fractions[0] > part.Fractions[0] {
-		t.Errorf("unified should have no fewer conflicts than partitioned (%.4f vs %.4f)",
-			uni.Fractions[0], part.Fractions[0])
-	}
-	if delta := part.Fractions[0] - uni.Fractions[0]; delta > 0.05 {
-		t.Errorf("unified conflict increase = %.1fpp, paper reports under 1pp", 100*delta)
-	}
-}
-
-// TestTable6Shape checks capacity sensitivity: performance is generally
-// maximized at 384 KB, and small capacities hurt register- and
-// shared-hungry workloads.
-func TestTable6Shape(t *testing.T) {
-	r := NewRunner()
-	rows, err := r.Table6()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := make(map[string]Table6Row, len(rows))
-	for _, row := range rows {
-		byName[row.Benchmark] = row
-		t.Logf("%-22s perf %.2f/%.2f/%.2f energy %.2f/%.2f/%.2f",
-			row.Benchmark, row.Perf[0], row.Perf[1], row.Perf[2],
-			row.Energy[0], row.Energy[1], row.Energy[2])
-	}
-	for _, name := range []string{"dgemm", "pcr", "ray"} {
-		row := byName[name]
-		if !row.Infeasible[0] && row.Perf[0] > row.Perf[2] {
-			t.Errorf("%s: 128KB (%v) should not beat 384KB (%v)", name, row.Perf[0], row.Perf[2])
-		}
-	}
-	avg := byName["average (benefit)"]
-	if avg.Perf[2] < 1.05 || avg.Perf[2] > 1.35 {
-		t.Errorf("benefit-set average at 384KB = %.3f, paper reports 1.16", avg.Perf[2])
-	}
-	if avg.Perf[1] < avg.Perf[0] {
-		t.Errorf("benefit-set average should improve 128->256KB: %v", avg.Perf)
-	}
-	fig7 := byName["figure-7 set (average)"]
-	if fig7.Perf[2] < 0.97 || fig7.Perf[2] > 1.05 {
-		t.Errorf("figure-7 average at 384KB = %.3f, want ~1.0", fig7.Perf[2])
-	}
-	// The no-benefit set sees its lowest energy at the smallest capacity
-	// (less SRAM leakage), one of the paper's Table 6 observations.
-	if fig7.Energy[0] > fig7.Energy[2] {
-		t.Errorf("figure-7 energy should be lowest at 128KB: %v", fig7.Energy)
-	}
-}
-
-// TestFigure10Shape checks the Fermi-like limited design: it helps, but
-// strictly less than full unification on shared-hungry and
-// register-hungry workloads.
-func TestFigure10Shape(t *testing.T) {
-	r := NewRunner()
-	fermi, err := r.Figure10()
-	if err != nil {
-		t.Fatal(err)
-	}
-	unified, err := r.Figure9()
-	if err != nil {
-		t.Fatal(err)
-	}
-	uniBy := comparisonsByName(unified)
-	for _, f := range fermi {
-		t.Logf("%-8s fermi=%.3f unified=%.3f", f.Benchmark, f.PerfRatio, uniBy[f.Benchmark].PerfRatio)
-		if f.PerfRatio < 0.9 {
-			t.Errorf("%s: Fermi-like design should not badly hurt (%.3f)", f.Benchmark, f.PerfRatio)
-		}
-		if f.Config.RFBytes != config.BaselineRFBytes {
-			t.Errorf("%s: Fermi-like design must keep the 256KB register file", f.Benchmark)
-		}
-	}
-	// needle and dgemm depend on resources Fermi-like flexibility cannot
-	// provide enough of; full unification must win clearly.
-	for _, name := range []string{"needle", "dgemm"} {
-		var f Comparison
-		for _, c := range fermi {
-			if c.Benchmark == name {
-				f = c
-			}
-		}
-		if f.PerfRatio > uniBy[name].PerfRatio+0.02 {
-			t.Errorf("%s: Fermi-like (%.3f) should not beat unified (%.3f)",
-				name, f.PerfRatio, uniBy[name].PerfRatio)
-		}
-	}
-}
-
-// TestFigure8Shape checks the Section 4.5 allocations.
-func TestFigure8Shape(t *testing.T) {
-	r := NewRunner()
-	rows, err := r.Figure8()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := make(map[string]Figure8Row, len(rows))
-	for _, row := range rows {
-		byName[row.Benchmark] = row
-		if total := row.RFKB + row.SharedKB + row.CacheKB; total > 384 {
-			t.Errorf("%s: allocation %dK exceeds 384K", row.Benchmark, total)
-		}
-	}
-	if byName["dgemm"].RFKB != 228 {
-		t.Errorf("dgemm RF = %dK, want 228K (57 regs x 1024 threads)", byName["dgemm"].RFKB)
-	}
-	if byName["bfs"].RFKB != 36 {
-		t.Errorf("bfs RF = %dK, want 36K", byName["bfs"].RFKB)
-	}
-	if byName["needle"].SharedKB < 200 {
-		t.Errorf("needle shared = %dK, want the bulk of the 384K (paper: 264K)", byName["needle"].SharedKB)
-	}
-	if byName["bfs"].CacheKB < 300 {
-		t.Errorf("bfs cache = %dK, want nearly everything (paper: 348K)", byName["bfs"].CacheKB)
-	}
-}
-
-// TestFigure11Shape checks the blocking-factor study: BF=32 wins at small
-// scratchpads, BF=64 wins once several hundred KB are available.
-func TestFigure11Shape(t *testing.T) {
-	r := NewRunner()
-	sweeps, err := r.Figure11()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bestAtMost := func(capKB int) (string, float64) {
-		name, best := "", 0.0
-		for _, sw := range sweeps {
-			for _, p := range sw.Points {
-				if !p.Infeasible && p.CapacityKB <= capKB && p.Perf > best {
-					name, best = sw.Benchmark, p.Perf
-				}
-			}
-		}
-		return name, best
-	}
-	smallName, smallPerf := bestAtMost(64)
-	bigName, bigPerf := bestAtMost(1 << 20)
-	t.Logf("best <=64KB: %s (%.3f); best overall: %s (%.3f)", smallName, smallPerf, bigName, bigPerf)
-	if smallName == "needle BF=64" {
-		t.Error("BF=64 cannot be the best choice within a 64KB scratchpad")
-	}
-	if bigPerf < 1.3*smallPerf {
-		t.Errorf("large scratchpad should clearly beat 64KB operating points (%.3f vs %.3f)",
-			bigPerf, smallPerf)
-	}
-	// At large capacity BF=64 must at least tie BF=32 (the paper reports
-	// "slightly better"); we accept a tie within a few percent.
-	bf64Best := 0.0
-	for _, sw := range sweeps {
-		if sw.Benchmark != "needle BF=64" {
-			continue
-		}
-		for _, p := range sw.Points {
-			if !p.Infeasible && p.Perf > bf64Best {
-				bf64Best = p.Perf
-			}
-		}
-	}
-	if bf64Best < 0.93*bigPerf {
-		t.Errorf("BF=64 best (%.3f) should be within a few %% of the global best (%s %.3f)",
-			bf64Best, bigName, bigPerf)
-	}
-}
-
 // TestMRFReduction checks the register-hierarchy enabler: the LRF/ORF
 // absorb a large share of register-operand accesses. The paper reports a
 // 60% MRF-access reduction on real compiled traces; our synthetic kernels

@@ -27,7 +27,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		parallel.SetWorkers(workers)
 		defer parallel.SetWorkers(0)
 		r := core.NewRunner()
-		tab, err := Figure7(r)
+		tab, err := Run(r, "figure7")
 		if err != nil {
 			t.Fatalf("j=%d: %v", workers, err)
 		}

@@ -1,8 +1,10 @@
 // Package harness regenerates every table and figure of the paper as a
 // rendered text table. It is the shared engine behind cmd/paper and the
-// root-level benchmarks (bench_test.go): each ExperimentFunc runs the
-// corresponding internal/core driver and formats its output with the same
-// rows and series the paper reports.
+// root-level benchmarks (bench_test.go): each registered experiment runs
+// its internal/core driver and formats the driver's rows with the same
+// rows and series the paper reports. The typed rows stay next to the
+// rendered table, so the package's tests check the paper's claims on the
+// same pass that renders the golden tables.
 package harness
 
 import (
@@ -14,57 +16,75 @@ import (
 	"repro/internal/workloads"
 )
 
-// Experiment names accepted by Run.
-var Experiments = []string{
-	"table1", "figure2", "figure3", "figure4", "table4", "table5",
-	"figure7", "figure8", "figure9", "figure10", "table6", "figure11",
-	"validation", "ablation", "multitenant",
+// experiment pairs one internal/core driver with the table that renders
+// its rows.
+type experiment struct {
+	name string
+	run  func(*core.Runner) (rows any, t *report.Table, err error)
 }
+
+// rendered adapts a typed driver and its renderer to the registry's
+// signature, keeping the driver's rows next to their rendering.
+func rendered[R any](drive func(*core.Runner) (R, error), render func(R) *report.Table) func(*core.Runner) (any, *report.Table, error) {
+	return func(r *core.Runner) (any, *report.Table, error) {
+		rows, err := drive(r)
+		if err != nil {
+			return nil, nil, err
+		}
+		return rows, render(rows), nil
+	}
+}
+
+// registry lists every experiment in presentation order.
+var registry = []experiment{
+	{"table1", rendered(func(r *core.Runner) ([]core.Table1Row, error) { return r.Table1(workloads.All()) }, table1)},
+	{"figure2", rendered((*core.Runner).Figure2, sweeps("Figure 2: performance vs register file capacity (normalized to 64 regs, 1024 threads)", "regs/thread"))},
+	{"figure3", rendered((*core.Runner).Figure3, sweeps("Figure 3: performance vs shared memory capacity (normalized to 1024 threads)", "-"))},
+	{"figure4", rendered((*core.Runner).Figure4, sweeps("Figure 4: performance vs cache capacity (normalized to 512KB cache, 1024 threads)", "-"))},
+	{"table4", rendered(func(*core.Runner) ([]core.Table4Row, error) { return core.Table4(), nil }, table4)},
+	{"table5", rendered((*core.Runner).Table5, table5)},
+	{"figure7", rendered((*core.Runner).Figure7, comparisons("Figure 7: unified (384KB) vs partitioned, applications with no benefit"))},
+	{"figure8", rendered((*core.Runner).Figure8, figure8)},
+	{"figure9", rendered((*core.Runner).Figure9, comparisons("Figure 9: unified (384KB) vs partitioned, applications that benefit"))},
+	{"figure10", rendered((*core.Runner).Figure10, comparisons("Figure 10: Fermi-like limited design (384KB) vs partitioned"))},
+	{"table6", rendered((*core.Runner).Table6, table6)},
+	{"figure11", rendered((*core.Runner).Figure11, figure11)},
+	{"validation", rendered(validate, validation)},
+	{"ablation", rendered(func(r *core.Runner) ([]core.ScatterAblation, error) { return r.AblateScatter(workloads.All()) }, ablation)},
+	{"multitenant", rendered(func(r *core.Runner) ([]core.MultitenantRow, error) {
+		return r.Multitenant(core.MultitenantMixes(workloads.All()))
+	}, multitenant)},
+}
+
+// Experiment names accepted by Run.
+var Experiments = func() []string {
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
+	}
+	return names
+}()
 
 // Run regenerates one experiment by name.
 func Run(r *core.Runner, name string) (*report.Table, error) {
-	switch name {
-	case "table1":
-		return Table1(r)
-	case "figure2":
-		return Figure2(r)
-	case "figure3":
-		return Figure3(r)
-	case "figure4":
-		return Figure4(r)
-	case "table4":
-		return Table4(), nil
-	case "table5":
-		return Table5(r)
-	case "figure7":
-		return Figure7(r)
-	case "figure8":
-		return Figure8(r)
-	case "figure9":
-		return Figure9(r)
-	case "figure10":
-		return Figure10(r)
-	case "table6":
-		return Table6(r)
-	case "figure11":
-		return Figure11(r)
-	case "validation":
-		return Validation(r)
-	case "ablation":
-		return Ablation(r)
-	case "multitenant":
-		return Multitenant(r)
+	_, t, err := regenerate(r, name)
+	return t, err
+}
+
+// regenerate runs one experiment's driver and returns its typed rows
+// together with their rendering.
+func regenerate(r *core.Runner, name string) (any, *report.Table, error) {
+	for _, e := range registry {
+		if e.name == name {
+			return e.run(r)
+		}
 	}
-	return nil, fmt.Errorf("harness: unknown experiment %q (have %s)",
+	return nil, nil, fmt.Errorf("harness: unknown experiment %q (have %s)",
 		name, strings.Join(Experiments, ", "))
 }
 
-// Table1 renders the workload characterization.
-func Table1(r *core.Runner) (*report.Table, error) {
-	rows, err := r.Table1(workloads.All())
-	if err != nil {
-		return nil, err
-	}
+// table1 renders the workload characterization.
+func table1(rows []core.Table1Row) *report.Table {
 	t := report.NewTable(
 		"Table 1: workload characterization (dyn insts normalized to spill-free; DRAM normalized to 256KB cache)",
 		"workload", "category", "regs", "dyn@18", "dyn@24", "dyn@32", "dyn@40", "dyn@64",
@@ -80,73 +100,45 @@ func Table1(r *core.Runner) (*report.Table, error) {
 			report.Ratio(row.DRAMNorm[0]), report.Ratio(row.DRAMNorm[1]),
 			report.Ratio(row.DRAMNorm[2]))
 	}
-	return t, nil
-}
-
-// SweepTable renders capacity-sweep figures: one row per (benchmark,
-// point), with infeasible points marked.
-func SweepTable(title string, sweeps []core.FigureSweep, lineLabel string) *report.Table {
-	t := report.NewTable(title, "benchmark", lineLabel, "threads", "capacity", "norm perf")
-	for _, sw := range sweeps {
-		for _, p := range sw.Points {
-			perf := report.Ratio(p.Perf)
-			if p.Infeasible {
-				perf = "infeasible"
-			}
-			t.AddRow(sw.Benchmark, fmt.Sprint(p.Regs), fmt.Sprint(p.Threads),
-				fmt.Sprintf("%dK", p.CapacityKB), perf)
-		}
-	}
 	return t
 }
 
-// Figure2 renders performance versus register file capacity.
-func Figure2(r *core.Runner) (*report.Table, error) {
-	sweeps, err := r.Figure2()
-	if err != nil {
-		return nil, err
+// sweeps renders a capacity-sweep figure: one row per (benchmark,
+// point), with infeasible points marked.
+func sweeps(title, lineLabel string) func([]core.FigureSweep) *report.Table {
+	return func(sweeps []core.FigureSweep) *report.Table {
+		t := report.NewTable(title, "benchmark", lineLabel, "threads", "capacity", "norm perf")
+		for _, sw := range sweeps {
+			for _, p := range sw.Points {
+				t.AddRow(sw.Benchmark, fmt.Sprint(p.Regs), fmt.Sprint(p.Threads),
+					fmt.Sprintf("%dK", p.CapacityKB), sweepPerf(p))
+			}
+		}
+		return t
 	}
-	return SweepTable("Figure 2: performance vs register file capacity (normalized to 64 regs, 1024 threads)",
-		sweeps, "regs/thread"), nil
 }
 
-// Figure3 renders performance versus shared-memory capacity.
-func Figure3(r *core.Runner) (*report.Table, error) {
-	sweeps, err := r.Figure3()
-	if err != nil {
-		return nil, err
+// sweepPerf formats one sweep point's normalized performance.
+func sweepPerf(p core.SweepPoint) string {
+	if p.Infeasible {
+		return "infeasible"
 	}
-	return SweepTable("Figure 3: performance vs shared memory capacity (normalized to 1024 threads)",
-		sweeps, "-"), nil
+	return report.Ratio(p.Perf)
 }
 
-// Figure4 renders performance versus cache capacity.
-func Figure4(r *core.Runner) (*report.Table, error) {
-	sweeps, err := r.Figure4()
-	if err != nil {
-		return nil, err
-	}
-	return SweepTable("Figure 4: performance vs cache capacity (normalized to 512KB cache, 1024 threads)",
-		sweeps, "-"), nil
-}
-
-// Table4 renders SRAM bank access energies.
-func Table4() *report.Table {
+// table4 renders SRAM bank access energies.
+func table4(rows []core.Table4Row) *report.Table {
 	t := report.NewTable("Table 4: energy per 16-byte SRAM bank access (32nm)",
 		"structure", "bank size", "read (pJ)", "write (pJ)")
-	for _, row := range core.Table4() {
+	for _, row := range rows {
 		t.AddRow(row.Structure, fmt.Sprintf("%dK", row.BankKB),
 			fmt.Sprintf("%.1f", row.ReadPJ), fmt.Sprintf("%.1f", row.WritePJ))
 	}
 	return t
 }
 
-// Table5 renders the bank-conflict breakdown.
-func Table5(r *core.Runner) (*report.Table, error) {
-	rows, err := r.Table5()
-	if err != nil {
-		return nil, err
-	}
+// table5 renders the bank-conflict breakdown.
+func table5(rows []core.ConflictRow) *report.Table {
 	t := report.NewTable("Table 5: warp instructions by max accesses to a single bank (Figure 7 benchmarks)",
 		"design", "<=1", "2", "3", "4", ">4")
 	for _, row := range rows {
@@ -155,13 +147,13 @@ func Table5(r *core.Runner) (*report.Table, error) {
 			report.Percent(row.Fractions[2]), report.Percent(row.Fractions[3]),
 			report.Percent(row.Fractions[4]))
 	}
-	return t, nil
+	return t
 }
 
 // NewComparisonTable returns an empty baseline-comparison table with
 // the canonical Figure 7/9/10 columns. Callers that need per-row
 // control (e.g. infeasible markers in campaign tables) pair it with
-// ComparisonRow; everyone else uses ComparisonTable.
+// ComparisonRow.
 func NewComparisonTable(title string) *report.Table {
 	return report.NewTable(title,
 		"benchmark", "perf (x)", "energy (x)", "dram (x)", "threads", "rf", "shared", "cache")
@@ -175,65 +167,31 @@ func ComparisonRow(c core.Comparison) []string {
 		report.KB(c.Config.CacheBytes)}
 }
 
-// ComparisonTable renders machine-versus-baseline comparisons — the
-// Figure 7/9/10 rendering, shared with the campaign layer's
-// paper-style tables.
-func ComparisonTable(title string, comps []core.Comparison) *report.Table {
-	t := NewComparisonTable(title)
-	for _, c := range comps {
-		t.AddRow(ComparisonRow(c)...)
+// comparisons renders machine-versus-baseline comparisons under title:
+// the Figure 7/9/10 rendering.
+func comparisons(title string) func([]core.Comparison) *report.Table {
+	return func(comps []core.Comparison) *report.Table {
+		t := NewComparisonTable(title)
+		for _, c := range comps {
+			t.AddRow(ComparisonRow(c)...)
+		}
+		return t
 	}
-	return t
 }
 
-// Figure7 renders the no-benefit comparison.
-func Figure7(r *core.Runner) (*report.Table, error) {
-	comps, err := r.Figure7()
-	if err != nil {
-		return nil, err
-	}
-	return ComparisonTable("Figure 7: unified (384KB) vs partitioned, applications with no benefit", comps), nil
-}
-
-// Figure8 renders the chosen unified partitionings.
-func Figure8(r *core.Runner) (*report.Table, error) {
-	rows, err := r.Figure8()
-	if err != nil {
-		return nil, err
-	}
+// figure8 renders the chosen unified partitionings.
+func figure8(rows []core.Figure8Row) *report.Table {
 	t := report.NewTable("Figure 8: unified memory allocation chosen per benchmark (384KB)",
 		"benchmark", "rf", "shared", "cache", "threads")
 	for _, row := range rows {
 		t.AddRow(row.Benchmark, fmt.Sprintf("%dK", row.RFKB), fmt.Sprintf("%dK", row.SharedKB),
 			fmt.Sprintf("%dK", row.CacheKB), fmt.Sprint(row.Threads))
 	}
-	return t, nil
+	return t
 }
 
-// Figure9 renders the benefit comparison.
-func Figure9(r *core.Runner) (*report.Table, error) {
-	comps, err := r.Figure9()
-	if err != nil {
-		return nil, err
-	}
-	return ComparisonTable("Figure 9: unified (384KB) vs partitioned, applications that benefit", comps), nil
-}
-
-// Figure10 renders the Fermi-like limited-flexibility comparison.
-func Figure10(r *core.Runner) (*report.Table, error) {
-	comps, err := r.Figure10()
-	if err != nil {
-		return nil, err
-	}
-	return ComparisonTable("Figure 10: Fermi-like limited design (384KB) vs partitioned", comps), nil
-}
-
-// Table6 renders capacity sensitivity.
-func Table6(r *core.Runner) (*report.Table, error) {
-	rows, err := r.Table6()
-	if err != nil {
-		return nil, err
-	}
+// table6 renders capacity sensitivity.
+func table6(rows []core.Table6Row) *report.Table {
 	t := report.NewTable("Table 6: unified capacity sensitivity (normalized to baseline partitioned)",
 		"benchmark", "perf@128K", "perf@256K", "perf@384K", "energy@128K", "energy@256K", "energy@384K")
 	for _, row := range rows {
@@ -249,27 +207,19 @@ func Table6(r *core.Runner) (*report.Table, error) {
 			cell(row.Energy[0], row.Infeasible[0]), cell(row.Energy[1], row.Infeasible[1]),
 			cell(row.Energy[2], row.Infeasible[2]))
 	}
-	return t, nil
+	return t
 }
 
-// Figure11 renders the needle blocking-factor study.
-func Figure11(r *core.Runner) (*report.Table, error) {
-	sweeps, err := r.Figure11()
-	if err != nil {
-		return nil, err
-	}
+// figure11 renders the needle blocking-factor study.
+func figure11(sweeps []core.FigureSweep) *report.Table {
 	t := report.NewTable("Figure 11: needle performance vs shared memory capacity by blocking factor",
 		"variant", "threads", "shared", "norm perf")
 	for _, sw := range sweeps {
 		for _, p := range sw.Points {
-			perf := report.Ratio(p.Perf)
-			if p.Infeasible {
-				perf = "infeasible"
-			}
-			t.AddRow(sw.Benchmark, fmt.Sprint(p.Threads), fmt.Sprintf("%dK", p.CapacityKB), perf)
+			t.AddRow(sw.Benchmark, fmt.Sprint(p.Threads), fmt.Sprintf("%dK", p.CapacityKB), sweepPerf(p))
 		}
 	}
-	return t, nil
+	return t
 }
 
 // ValidationBenchmarks are the kernels used for the Section 5.1
@@ -280,8 +230,8 @@ var ValidationBenchmarks = []string{"vectoradd", "needle", "pcr", "sto", "hotspo
 // ValidationSMs is the chip size used for the methodology check.
 const ValidationSMs = 4
 
-// Validation renders the single-SM-vs-chip methodology comparison.
-func Validation(r *core.Runner) (*report.Table, error) {
+// validate runs the single-SM-vs-chip methodology comparison.
+func validate(r *core.Runner) ([]core.MethodologyRow, error) {
 	var kernels []*workloads.Kernel
 	for _, name := range ValidationBenchmarks {
 		k, err := workloads.ByName(name)
@@ -290,10 +240,11 @@ func Validation(r *core.Runner) (*report.Table, error) {
 		}
 		kernels = append(kernels, k)
 	}
-	rows, err := r.ValidateMethodology(kernels, ValidationSMs)
-	if err != nil {
-		return nil, err
-	}
+	return r.ValidateMethodology(kernels, ValidationSMs)
+}
+
+// validation renders the single-SM-vs-chip methodology comparison.
+func validation(rows []core.MethodologyRow) *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("Methodology validation (§5.1): single-SM simulation vs %d-SM chip with shared DRAM", ValidationSMs),
 		"benchmark", "single-SM cycles", "chip mean cycles", "deviation")
@@ -301,16 +252,12 @@ func Validation(r *core.Runner) (*report.Table, error) {
 		t.AddRow(row.Benchmark, fmt.Sprint(row.SingleSMCycles),
 			fmt.Sprintf("%.0f", row.ChipMeanCycles), report.Percent(row.Deviation))
 	}
-	return t, nil
+	return t
 }
 
-// Ablation renders the Section 4.2 simple-vs-aggressive scatter design
+// ablation renders the Section 4.2 simple-vs-aggressive scatter design
 // comparison over the full registry.
-func Ablation(r *core.Runner) (*report.Table, error) {
-	rows, err := r.AblateScatter(workloads.All())
-	if err != nil {
-		return nil, err
-	}
+func ablation(rows []core.ScatterAblation) *report.Table {
 	t := report.NewTable(
 		"Ablation (§4.2): aggressive multi-bank scatter/gather vs simple unified design",
 		"benchmark", "speedup", "conflict cycles (simple)", "conflict cycles (aggressive)")
@@ -318,19 +265,15 @@ func Ablation(r *core.Runner) (*report.Table, error) {
 		t.AddRow(row.Benchmark, fmt.Sprintf("%.4f", row.Speedup),
 			fmt.Sprint(row.ConflictCyclesSimple), fmt.Sprint(row.ConflictCyclesAggressive))
 	}
-	return t, nil
+	return t
 }
 
-// Multitenant renders the concurrent-kernel co-tenancy study: every
+// multitenant renders the concurrent-kernel co-tenancy study: every
 // adjacent registry pair and quad runs as one multi-tenant mix under
 // the three designs, with the partitioned baseline as the 1.00
 // reference. Unified and Fermi capacities partition the baseline's
 // 384 KB jointly for the whole mix.
-func Multitenant(r *core.Runner) (*report.Table, error) {
-	rows, err := r.Multitenant(core.MultitenantMixes(workloads.All()))
-	if err != nil {
-		return nil, err
-	}
+func multitenant(rows []core.MultitenantRow) *report.Table {
 	t := report.NewTable(
 		"Multi-tenant co-tenancy: partitioned vs unified (384KB) vs Fermi-like (384KB), joint runs",
 		"mix", "ways", "part cycles", "uni perf (x)", "uni energy (x)", "fermi perf (x)", "fermi energy (x)")
@@ -352,45 +295,44 @@ func Multitenant(r *core.Runner) (*report.Table, error) {
 			cell(row.FermiPerf, inf || row.FermiInfeasible),
 			cell(row.FermiEnergy, inf || row.FermiInfeasible))
 	}
-	return t, nil
+	return t
 }
 
 // ChartableExperiments lists experiments Chart can render as plots.
 var ChartableExperiments = []string{"figure2", "figure3", "figure4", "figure11"}
 
+// chartAxes labels each chartable experiment's x axis and says whether
+// it plots one series per benchmark on a single chart.
+var chartAxes = map[string]struct {
+	xLabel             string
+	perBenchmarkSeries bool
+}{
+	"figure2":  {"RF capacity (KB)", false},
+	"figure3":  {"shared memory (KB)", true},
+	"figure4":  {"cache capacity (KB)", false},
+	"figure11": {"shared memory (KB)", true},
+}
+
 // Chart renders a capacity-sweep experiment as ASCII charts (one per
 // benchmark for the multi-benchmark figures).
 func Chart(r *core.Runner, name string) (string, error) {
-	var sweeps []core.FigureSweep
-	var err error
-	var xLabel string
-	perBenchmarkSeries := false
-	switch name {
-	case "figure2":
-		sweeps, err = r.Figure2()
-		xLabel = "RF capacity (KB)"
-	case "figure3":
-		sweeps, err = r.Figure3()
-		xLabel = "shared memory (KB)"
-		perBenchmarkSeries = true
-	case "figure4":
-		sweeps, err = r.Figure4()
-		xLabel = "cache capacity (KB)"
-	case "figure11":
-		sweeps, err = r.Figure11()
-		xLabel = "shared memory (KB)"
-		perBenchmarkSeries = true
-	default:
+	if _, ok := chartAxes[name]; !ok {
 		return "", fmt.Errorf("harness: experiment %q is not chartable (have %s)",
 			name, strings.Join(ChartableExperiments, ", "))
 	}
+	rows, _, err := regenerate(r, name)
 	if err != nil {
 		return "", err
 	}
-	var b strings.Builder
-	if perBenchmarkSeries {
+	return chart(name, rows.([]core.FigureSweep)), nil
+}
+
+// chart plots one chartable experiment's sweeps.
+func chart(name string, sweeps []core.FigureSweep) string {
+	axes := chartAxes[name]
+	if axes.perBenchmarkSeries {
 		// One chart, one series per benchmark/variant.
-		ch := report.NewChart(name+": normalized performance", xLabel, "perf")
+		ch := report.NewChart(name+": normalized performance", axes.xLabel, "perf")
 		for _, sw := range sweeps {
 			var xs, ys []float64
 			for _, p := range sw.Points {
@@ -402,12 +344,12 @@ func Chart(r *core.Runner, name string) (string, error) {
 			}
 			ch.AddSeries(sw.Benchmark, xs, ys)
 		}
-		b.WriteString(ch.String())
-		return b.String(), nil
+		return ch.String()
 	}
 	// One chart per benchmark, one series per line (regs or threads).
+	var b strings.Builder
 	for _, sw := range sweeps {
-		ch := report.NewChart(fmt.Sprintf("%s: %s", name, sw.Benchmark), xLabel, "perf")
+		ch := report.NewChart(fmt.Sprintf("%s: %s", name, sw.Benchmark), axes.xLabel, "perf")
 		series := map[int]struct{ xs, ys []float64 }{}
 		var keys []int
 		lineOf := func(p core.SweepPoint) int {
@@ -439,5 +381,5 @@ func Chart(r *core.Runner, name string) (string, error) {
 		b.WriteString(ch.String())
 		b.WriteByte('\n')
 	}
-	return b.String(), nil
+	return b.String()
 }

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"testing"
 	"time"
 
@@ -69,12 +68,6 @@ type Results struct {
 	// ForkSweep is the measured snapshot/fork sweep speedup, omitted by
 	// the microbenchmark-only path (-skip-suite).
 	ForkSweep *ForkSweep `json:"fork_sweep,omitempty"`
-
-	// BaselineSuiteSeconds, when non-zero, is the committed
-	// pre-optimization suite time measured on the same machine, and
-	// SuiteSpeedup is BaselineSuiteSeconds / SuiteSeconds.
-	BaselineSuiteSeconds float64 `json:"baseline_suite_seconds,omitempty"`
-	SuiteSpeedup         float64 `json:"suite_speedup,omitempty"`
 }
 
 // newCycleLoopSM builds a fresh baseline-configuration SM running the
@@ -164,9 +157,7 @@ func MeasureExperiments(names []string) ([]Experiment, error) {
 }
 
 // Collect runs both measurements and assembles a Results.
-// baselineSuiteSeconds, when positive, is recorded alongside so the
-// speedup over the tracked baseline is part of the artifact.
-func Collect(names []string, baselineSuiteSeconds float64) (*Results, error) {
+func Collect(names []string) (*Results, error) {
 	res := &Results{
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
@@ -187,44 +178,7 @@ func Collect(names []string, baselineSuiteSeconds float64) (*Results, error) {
 	if res.ForkSweep, err = MeasureForkSweep(); err != nil {
 		return nil, err
 	}
-	if baselineSuiteSeconds > 0 {
-		res.BaselineSuiteSeconds = baselineSuiteSeconds
-		if res.SuiteSeconds > 0 {
-			res.SuiteSpeedup = baselineSuiteSeconds / res.SuiteSeconds
-		}
-	}
 	return res, nil
-}
-
-// ReadBaseline interprets cmd/bench's -baseline argument: either a
-// plain number of suite seconds ("37.486") or the path of a previous
-// bench artifact (usually the committed BENCH_results.json), whose
-// suite_seconds is used. Failures come back with the remedy attached —
-// a missing or corrupt file names the path and how to regenerate it —
-// rather than as a bare parse error.
-func ReadBaseline(arg string) (float64, error) {
-	if secs, err := strconv.ParseFloat(arg, 64); err == nil {
-		if secs <= 0 {
-			return 0, fmt.Errorf("perfbench: baseline seconds must be positive, got %v", secs)
-		}
-		return secs, nil
-	}
-	data, err := os.ReadFile(arg)
-	if err != nil {
-		return 0, fmt.Errorf("perfbench: baseline %q is neither a number of seconds nor a readable bench artifact (%v); "+
-			"regenerate one with `bench -o %s` on the reference commit, or pass suite seconds directly (e.g. -baseline 37.5)",
-			arg, err, arg)
-	}
-	var prev Results
-	if err := json.Unmarshal(data, &prev); err != nil {
-		return 0, fmt.Errorf("perfbench: baseline %q is not a bench artifact (%v); "+
-			"regenerate it with `bench -o %s` on the reference commit", arg, err, arg)
-	}
-	if prev.SuiteSeconds <= 0 {
-		return 0, fmt.Errorf("perfbench: baseline %q has no suite_seconds (was it measured with -skip-suite?); "+
-			"regenerate it with `bench -o %s` without -skip-suite", arg, arg)
-	}
-	return prev.SuiteSeconds, nil
 }
 
 // Write serializes r as indented JSON to path.

@@ -30,20 +30,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf formats each cell with fmt.Sprint.
-func (t *Table) AddRowf(cells ...interface{}) {
-	out := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			out = append(out, fmt.Sprintf("%.2f", v))
-		default:
-			out = append(out, fmt.Sprint(c))
-		}
-	}
-	t.AddRow(out...)
-}
-
 // widths computes per-column display widths.
 func (t *Table) widths() []int {
 	w := make([]int, len(t.header))
@@ -179,15 +165,6 @@ func Percent(v float64) string {
 // KB formats a byte count in binary kilobytes.
 func KB(bytes int) string {
 	return fmt.Sprintf("%dK", bytes>>10)
-}
-
-// Delta formats v's relative change from base as a signed percentage
-// with one decimal, or "-" when the baseline value is unusable.
-func Delta(base, v float64) string {
-	if base == 0 || base != base || v != v {
-		return "-"
-	}
-	return fmt.Sprintf("%+.1f%%", 100*(v-base)/base)
 }
 
 // NewRunTable returns the canonical per-run metric table shared by

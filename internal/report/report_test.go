@@ -36,14 +36,6 @@ func TestTableTruncatesExtraCells(t *testing.T) {
 	}
 }
 
-func TestAddRowfFormatsFloats(t *testing.T) {
-	tab := NewTable("", "x", "y")
-	tab.AddRowf(1.23456, 7)
-	if !strings.Contains(tab.String(), "1.23") {
-		t.Errorf("float not formatted: %s", tab.String())
-	}
-}
-
 func TestCSVEscaping(t *testing.T) {
 	tab := NewTable("ignored", "a", "b")
 	tab.AddRow(`with,comma`, `with"quote`)
@@ -180,25 +172,6 @@ func TestMarkdownEscapesCells(t *testing.T) {
 		"| crlf<br>cell | cr<br>cell |\n"
 	if got != want {
 		t.Errorf("Markdown:\n%q\nwant:\n%q", got, want)
-	}
-}
-
-func TestDelta(t *testing.T) {
-	cases := []struct {
-		base, v float64
-		want    string
-	}{
-		{100, 110, "+10.0%"},
-		{100, 90, "-10.0%"},
-		{100, 100, "+0.0%"},
-		{0, 5, "-"},
-		{math.NaN(), 5, "-"},
-		{5, math.NaN(), "-"},
-	}
-	for _, c := range cases {
-		if got := Delta(c.base, c.v); got != c.want {
-			t.Errorf("Delta(%v, %v) = %q, want %q", c.base, c.v, got, c.want)
-		}
 	}
 }
 

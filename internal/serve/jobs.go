@@ -257,7 +257,7 @@ func (s *Server) jobExec(ctx context.Context, it jobs.Item, ic *jobs.ItemContext
 		}
 		return s.compute(ctx, p, false)
 	case *resolvedExperiment:
-		return s.computeExperiment(p)
+		return s.computeExperiment(ctx, p)
 	default:
 		return http.StatusInternalServerError, errorBytes(errInternal("unknown job item payload %T", it.Payload)), "miss"
 	}

@@ -270,30 +270,39 @@ func (s *Server) simulate(ctx context.Context, rr *runplan.Run) (int, []byte) {
 	return http.StatusOK, marshalBody(resp)
 }
 
-// compute runs the cache -> store -> coalesce -> simulate pipeline for
-// one resolved run. It assumes admission is already settled. counted
-// says the caller already recorded this lookup in the cache stats
-// (handleRun's pre-admission check), so the recheck stays quiet. The
-// cacheState return is "hit", "stored", "coalesced", or "miss".
+// compute settles one resolved run through memo, simulating it on a
+// miss. counted says the caller already recorded this lookup in the
+// cache stats (handleRun's pre-admission check), so the recheck stays
+// quiet.
 func (s *Server) compute(ctx context.Context, rr *runplan.Run, counted bool) (status int, body []byte, cacheState string) {
+	return s.memo(ctx, rr.Key, counted, func() (int, []byte) { return s.simulate(ctx, rr) })
+}
+
+// memo runs the cache -> store -> coalesce pipeline for one canonical
+// key and calls produce only on a miss; a 200 body it produces enters
+// the cache and the store. It assumes admission is already settled. A
+// coalesced waiter whose context ends stops waiting and answers 408, so
+// it gives its admission slot back without waiting for the leader. The
+// cacheState return is "hit", "stored", "coalesced", or "miss".
+func (s *Server) memo(ctx context.Context, key string, counted bool, produce func() (int, []byte)) (status int, body []byte, cacheState string) {
 	lookup := s.cache.get
 	if counted {
 		lookup = s.cache.peek
 	}
-	if body, ok := lookup(rr.Key); ok {
+	if body, ok := lookup(key); ok {
 		return http.StatusOK, body, "hit"
 	}
 	// The persistent store sits under the LRU: a body completed by a
 	// previous process (or evicted from the LRU) replays byte-identically
 	// and re-enters the LRU. This is the job resume path.
 	if s.store != nil {
-		if body, ok := s.store.Get(rr.Key); ok {
-			s.cache.put(rr.Key, body)
+		if body, ok := s.store.Get(key); ok {
+			s.cache.put(key, body)
 			return http.StatusOK, body, "stored"
 		}
 	}
 	s.flightMu.Lock()
-	if c, ok := s.flight[rr.Key]; ok {
+	if c, ok := s.flight[key]; ok {
 		s.flightMu.Unlock()
 		select {
 		case <-c.done:
@@ -304,18 +313,18 @@ func (s *Server) compute(ctx context.Context, rr *runplan.Run, counted bool) (st
 		}
 	}
 	c := &flightCall{done: make(chan struct{})}
-	s.flight[rr.Key] = c
+	s.flight[key] = c
 	s.flightMu.Unlock()
 
-	c.status, c.body = s.simulate(ctx, rr)
+	c.status, c.body = produce()
 	if c.status == http.StatusOK {
-		s.cache.put(rr.Key, c.body)
+		s.cache.put(key, c.body)
 		if s.store != nil {
-			_ = s.store.Put(rr.Key, c.body)
+			_ = s.store.Put(key, c.body)
 		}
 	}
 	s.flightMu.Lock()
-	delete(s.flight, rr.Key)
+	delete(s.flight, key)
 	s.flightMu.Unlock()
 	close(c.done)
 	return c.status, c.body, "miss"
@@ -477,63 +486,37 @@ func (s *Server) resolveExperiment(req api.ExperimentRequest) (*resolvedExperime
 	}, nil
 }
 
-// computeExperiment runs the cache -> store -> coalesce -> render
-// pipeline for one experiment. Admission must already be settled.
-func (s *Server) computeExperiment(er *resolvedExperiment) (status int, body []byte, cacheState string) {
-	if body, ok := s.cache.get(er.key); ok {
-		return http.StatusOK, body, "hit"
-	}
-	if s.store != nil {
-		if body, ok := s.store.Get(er.key); ok {
-			s.cache.put(er.key, body)
-			return http.StatusOK, body, "stored"
-		}
-	}
-	s.flightMu.Lock()
-	if c, ok := s.flight[er.key]; ok {
-		s.flightMu.Unlock()
-		<-c.done
-		s.metrics.coalesced.Add(1)
-		return c.status, c.body, "coalesced"
-	}
-	c := &flightCall{done: make(chan struct{})}
-	s.flight[er.key] = c
-	s.flightMu.Unlock()
+// computeExperiment settles one experiment through memo, rendering it
+// on a miss.
+func (s *Server) computeExperiment(ctx context.Context, er *resolvedExperiment) (status int, body []byte, cacheState string) {
+	return s.memo(ctx, er.key, false, func() (int, []byte) { return s.renderExperiment(er) })
+}
 
-	// Experiments reuse the run path's Runner memoization keyed by the
-	// default machine with the chosen scheduler.
+// renderExperiment regenerates one experiment and marshals its response
+// body. Experiments reuse the run path's Runner memoization keyed by the
+// default machine with the chosen scheduler.
+func (s *Server) renderExperiment(er *resolvedExperiment) (int, []byte) {
 	d := machine.Default()
 	d.Timing.Scheduler = string(er.pol)
-	rr, rerr := runplan.Resolve(api.RunRequest{Kernel: "needle", Machine: d})
-	if rerr != nil {
-		c.status, c.body = http.StatusInternalServerError, errorBytes(errInternal("%s", rerr.Error()))
-	} else {
-		started := time.Now()
-		t, err := harness.Run(s.runners.Get(rr), er.name)
-		s.metrics.simSeconds.observe(time.Since(started).Seconds())
-		if err != nil {
-			s.metrics.serverErrors.Add(1)
-			c.status, c.body = http.StatusInternalServerError, errorBytes(errInternal("%s", err.Error()))
-		} else {
-			s.metrics.simRuns.Add(1)
-			c.status, c.body = http.StatusOK, marshalBody(api.ExperimentResponse{
-				Name:      er.name,
-				Scheduler: string(er.pol),
-				Text:      t.String(),
-				CSV:       t.CSV(),
-				Markdown:  t.Markdown(),
-			})
-			s.cache.put(er.key, c.body)
-			if s.store != nil {
-				_ = s.store.Put(er.key, c.body)
-			}
-		}
+	rr, err := runplan.Resolve(api.RunRequest{Kernel: "needle", Machine: d})
+	if err != nil {
+		return http.StatusInternalServerError, errorBytes(errInternal("%s", err.Error()))
 	}
-	s.flightMu.Lock()
-	delete(s.flight, er.key)
-	s.flightMu.Unlock()
-	close(c.done)
-	return c.status, c.body, "miss"
+	started := time.Now()
+	t, err := harness.Run(s.runners.Get(rr), er.name)
+	s.metrics.simSeconds.observe(time.Since(started).Seconds())
+	if err != nil {
+		s.metrics.serverErrors.Add(1)
+		return http.StatusInternalServerError, errorBytes(errInternal("%s", err.Error()))
+	}
+	s.metrics.simRuns.Add(1)
+	return http.StatusOK, marshalBody(api.ExperimentResponse{
+		Name:      er.name,
+		Scheduler: string(er.pol),
+		Text:      t.String(),
+		CSV:       t.CSV(),
+		Markdown:  t.Markdown(),
+	})
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
@@ -557,7 +540,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	status, body, state := s.computeExperiment(er)
+	status, body, state := s.computeExperiment(r.Context(), er)
 	writeBody(w, status, body, state)
 }
 

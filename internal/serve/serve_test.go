@@ -329,6 +329,55 @@ func TestExperimentEndpoint(t *testing.T) {
 	}
 }
 
+// TestCoalescedExperimentWaiterCancels pins that an experiment request
+// coalesced behind an in-flight render stops waiting when its context
+// ends: it answers 408 at once and gives its admission slot back, rather
+// than holding the slot until the leader's render finishes.
+func TestCoalescedExperimentWaiterCancels(t *testing.T) {
+	s, ts := newTestServer(t, Options{InFlight: 1, Queue: -1})
+	er, aerr := s.resolveExperiment(api.ExperimentRequest{Name: "figure9"})
+	if aerr != nil {
+		t.Fatal(aerr)
+	}
+	// A leader that never finishes on its own stands in for a long render.
+	leader := &flightCall{status: http.StatusOK, body: []byte("{}"), done: make(chan struct{})}
+	s.flightMu.Lock()
+	s.flight[er.key] = leader
+	s.flightMu.Unlock()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/experiment", strings.NewReader(`{"name":"figure9"}`)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	t.Cleanup(func() {
+		close(leader.done)
+		<-served
+	})
+	go func() {
+		s.Handler().ServeHTTP(rec, req)
+		close(served)
+	}()
+	for s.gate.InFlight() != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled coalesced waiter still blocked on the leader")
+	}
+	if rec.Code != http.StatusRequestTimeout {
+		t.Errorf("cancelled waiter status = %d, want 408 (body %s)", rec.Code, rec.Body)
+	}
+	if n := s.gate.InFlight(); n != 0 {
+		t.Errorf("gate in flight = %d after the waiter returned, want 0", n)
+	}
+	if resp, body := do(t, ts, http.MethodPost, "/v1/experiment", `{"name":"table4"}`); resp.StatusCode != http.StatusOK {
+		t.Errorf("follow-up request: %d %s, want 200 on the freed slot", resp.StatusCode, body)
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	cases := []struct {

@@ -2,6 +2,7 @@ package simtest
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/config"
@@ -52,7 +53,8 @@ func TestWarmResumeEqualsResumeExact(t *testing.T) {
 
 	render := func(r *core.Result) string {
 		tb := report.NewTable("sweep point", "kernel", "cycles", "IPC", "energy")
-		tb.AddRowf(r.Spec.Kernel.Name, r.Counters.Cycles, r.IPC(), r.Energy.Total())
+		tb.AddRow(r.Spec.Kernel.Name, fmt.Sprint(r.Counters.Cycles),
+			fmt.Sprintf("%.2f", r.IPC()), fmt.Sprintf("%.2f", r.Energy.Total()))
 		return tb.String()
 	}
 	if got, want := render(forked), render(exact); got != want {
