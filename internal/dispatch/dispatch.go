@@ -55,6 +55,17 @@ type LineSource interface {
 	WarpLines(cta, warp int) memsys.Lines
 }
 
+// IssueSource is an optional TraceSource extension: a source that can
+// additionally supply each warp's memoized issue records
+// (isa.IssueRecords; the trace cache in internal/workloads builds them).
+// The slice must be index-aligned with the warp's trace and immutable.
+// For any other source the dispatcher builds the records itself when
+// it launches the warp.
+type IssueSource interface {
+	TraceSource
+	WarpIssue(cta, warp int) []isa.Issue
+}
+
 // Status is a warp's lifecycle state.
 type Status uint8
 
@@ -77,6 +88,11 @@ type Warp struct {
 	Status  Status
 	CTASlot int
 	Trace   []isa.WarpInst
+	// Issue holds the issue record of each Trace instruction (see
+	// IssueSource): the timing core's readiness check and issue charge
+	// read it instead of the wide instruction. Every live warp carries
+	// one.
+	Issue []isa.Issue
 	// Outcomes, when non-nil, holds the precomputed bank-conflict
 	// outcome of each Trace instruction for the SM's bank-model variant
 	// (see OutcomeSource); the timing core then skips the per-issue
@@ -126,10 +142,12 @@ type StreamSpec struct {
 type streamState struct {
 	src TraceSource
 	// outSrc is the stream's outcome memo once EnableOutcomes accepts
-	// it; lineSrc is its lines memo, when the source has one. Each
-	// stream has its own trace source and therefore its own memos.
+	// it; lineSrc and issueSrc are its lines and issue-record memos,
+	// when the source has them. Each stream has its own trace source
+	// and therefore its own memos.
 	outSrc    OutcomeSource
 	lineSrc   LineSource
+	issueSrc  IssueSource
 	nextCTA   int // next grid CTA of this stream to launch
 	totalCTAs int
 	warpsPer  int
@@ -217,6 +235,7 @@ func NewMulti(specs []StreamSpec) (*Dispatcher, error) {
 		st := &d.streams[i]
 		st.src = sp.Source
 		st.lineSrc, _ = sp.Source.(LineSource)
+		st.issueSrc, _ = sp.Source.(IssueSource)
 		st.totalCTAs = totalCTAs
 		st.warpsPer = warpsPer
 		st.doneAt = -1
@@ -317,9 +336,11 @@ func (d *Dispatcher) launch(slot int, cycle int64) {
 	st.c.ThreadsRun += int64(st.warpsPer) * isa.WarpSize
 }
 
-// resolveMemos attaches the stream source's memoized bank outcomes and
-// coalesced lines of warp (cta, warp) to w, or detaches them when the
-// dispatcher does not use them.
+// resolveMemos attaches the stream source's memoized bank outcomes,
+// coalesced lines, and issue records of warp (cta, warp) to w, or
+// detaches the optional ones when the dispatcher does not use them.
+// Issue records are not optional: a source without the memo gets them
+// built here from w.Trace, once per launch (or restore).
 func (d *Dispatcher) resolveMemos(st *streamState, w *Warp, cta, warp int) {
 	w.Outcomes, w.Lines = nil, nil
 	if st.outSrc != nil {
@@ -327,6 +348,11 @@ func (d *Dispatcher) resolveMemos(st *streamState, w *Warp, cta, warp int) {
 	}
 	if st.lineSrc != nil {
 		w.Lines = st.lineSrc.WarpLines(cta, warp)
+	}
+	if st.issueSrc != nil {
+		w.Issue = st.issueSrc.WarpIssue(cta, warp)
+	} else {
+		w.Issue = isa.IssueRecords(w.Trace)
 	}
 }
 
@@ -459,6 +485,7 @@ func (d *Dispatcher) Exit(wIdx int, now int64) {
 	st := &d.streams[c.stream]
 	w.Status = Done
 	w.Trace = nil
+	w.Issue = nil
 	w.Outcomes = nil
 	w.Lines = nil
 	d.liveWarps--

@@ -18,12 +18,13 @@ type CTAState struct {
 // slot, the grid launch cursor, the ready bitmask, and the wake cycles.
 //
 // Warp entries are value copies, which deep-copies the per-register
-// scoreboard (an array) but shares the Trace, Outcomes, and Lines
-// slices — those are immutable by the TraceSource contract (the
-// workloads trace cache memoizes them process-wide), so sharing them
-// across any number of forks is the copy-on-write half of the snapshot
-// design: a 64-warp snapshot costs a few KB of mutable state, never the
-// traces.
+// scoreboard (an array) but shares the Trace, Issue, Outcomes, and
+// Lines slices — those are immutable by the TraceSource contract (the
+// workloads trace cache memoizes them process-wide; Issue records the
+// dispatcher built itself are never written after launch either), so
+// sharing them across any number of forks is the copy-on-write half of
+// the snapshot design: a 64-warp snapshot costs a few KB of mutable
+// state, never the traces.
 type State struct {
 	Warps []Warp
 	CTAs  []CTAState
@@ -71,8 +72,9 @@ func (d *Dispatcher) Snapshot() *State {
 // The memos are re-resolved rather than trusted: the fork's own outcome
 // configuration (EnableOutcomes, or its absence on probed runs) decides
 // whether each live warp replays memoized bank outcomes, and the fork's
-// own source whether it walks memoized lines, so a snapshot taken by an
-// unprobed parent restores correctly into a probed fork and vice versa.
+// own source whether it walks memoized lines and where its issue
+// records come from, so a snapshot taken by an unprobed parent restores
+// correctly into a probed fork and vice versa.
 // The cached minimum wake is recomputed from the restored wake array on
 // the first query.
 func (d *Dispatcher) Restore(st *State) error {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/isa"
 	"repro/internal/memsys"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -18,7 +19,10 @@ type traceOnly struct{ TraceSource }
 // the fork's EnableOutcomes (unprobed forks replay them, probed ones do
 // not), and coalesced lines follow the fork's source; every attached
 // lines memo must equal the coalescer's output for the warp's restored
-// trace, also after CTA rotation moved grid CTAs between slots.
+// trace, also after CTA rotation moved grid CTAs between slots. Every
+// live warp carries issue records aligned with its restored trace, taken
+// from the fork's own source: the trace cache's memo when it has one,
+// else records built for the fork.
 func TestRestoreReresolvesMemos(t *testing.T) {
 	k, err := workloads.ByName("bfs")
 	if err != nil {
@@ -48,7 +52,7 @@ func TestRestoreReresolvesMemos(t *testing.T) {
 		for _, fc := range []struct {
 			name          string
 			src           TraceSource
-			probed, lines bool
+			probed, memos bool
 		}{
 			{"unprobed fork", src, false, true},
 			{"probed fork", src, true, true},
@@ -69,11 +73,20 @@ func TestRestoreReresolvesMemos(t *testing.T) {
 					continue
 				}
 				live++
+				if want := isa.IssueRecords(w.Trace); !slices.Equal(w.Issue, want) {
+					t.Fatalf("parent probed=%v, %s, warp %d: %d issue records not aligned with its %d-instruction trace",
+						parentProbed, fc.name, i, len(w.Issue), len(w.Trace))
+				}
+				memo := src.WarpIssue(fork.ctas[w.CTASlot].id, i%fork.streams[0].warpsPer)
+				if shared := &w.Issue[0] == &memo[0]; shared != fc.memos {
+					t.Errorf("parent probed=%v, %s, warp %d: issue records shared with the trace cache = %v, want %v",
+						parentProbed, fc.name, i, shared, fc.memos)
+				}
 				if got := w.Outcomes != nil; got != wantOutcomes {
 					t.Errorf("parent probed=%v, %s, warp %d: outcomes attached = %v, want %v", parentProbed, fc.name, i, got, wantOutcomes)
 				}
-				if got := w.Lines != nil; got != fc.lines {
-					t.Fatalf("parent probed=%v, %s, warp %d: lines attached = %v, want %v", parentProbed, fc.name, i, got, fc.lines)
+				if got := w.Lines != nil; got != fc.memos {
+					t.Fatalf("parent probed=%v, %s, warp %d: lines attached = %v, want %v", parentProbed, fc.name, i, got, fc.memos)
 				}
 				if w.Lines == nil {
 					continue

@@ -13,6 +13,11 @@
 // placement (which banks are touched), and memory addresses (bank conflicts,
 // cache behaviour, DRAM traffic) — not on actual data values, which are
 // never modeled.
+//
+// IssueRecords derives from a trace the dense 8-byte Issue record of
+// each instruction — its registers, op, active threads, and packed
+// register-access tally — which is all the timing core's issue path
+// reads; the wide WarpInst serves the memory path.
 package isa
 
 import (
@@ -182,15 +187,17 @@ type WarpInst struct {
 	DstMRFWrite bool
 	// Srcs are the source operands; unused entries have Space == SpaceNone.
 	Srcs [3]Operand
+	// Spill marks instructions inserted by the register allocator
+	// (spill stores and fill loads) rather than the original program.
+	// It sits in the padding before Mask, which keeps WarpInst at 24
+	// bytes (see the size guards in issue.go).
+	Spill bool
 	// Mask is the active-thread mask; bit i set means thread i executes.
 	Mask uint32
 	// Addrs holds per-thread byte addresses for memory operations and is
 	// nil otherwise. Shared-memory addresses are offsets into the CTA's
 	// shared segment; global addresses are absolute.
 	Addrs *AddrVec
-	// Spill marks instructions inserted by the register allocator
-	// (spill stores and fill loads) rather than the original program.
-	Spill bool
 }
 
 // FullMask is the mask with all 32 threads active.

@@ -154,8 +154,12 @@ func New(p Policy, capacity int, greedy bool) (Scheduler, error) {
 // Pool.MinReady) until the active set is full or no warp qualifies.
 // Multi-stream pools (StreamPool with more than one stream) promote
 // stream-fair instead; single-stream pools take the classic path
-// verbatim.
+// verbatim. A full set returns before the StreamPool check: both
+// promotion loops would be no-ops.
 func refill(active []int, capacity int, pool Pool, now int64) []int {
+	if len(active) >= capacity {
+		return active
+	}
 	if sp, ok := pool.(StreamPool); ok && sp.NumStreams() > 1 {
 		return refillStreams(active, capacity, sp, now)
 	}

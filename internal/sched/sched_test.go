@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -245,5 +247,137 @@ func TestGTOIssuedGoneClearsGreedy(t *testing.T) {
 	s.Walk(issueOn(-1, &order))
 	if want := []int{0, 2, 3}; !reflect.DeepEqual(order, want) {
 		t.Errorf("post-exit walk order %v, want oldest-first %v", order, want)
+	}
+}
+
+// refWalk is the modulo-arithmetic two-level walk the compare-wrapped
+// Walk replaced, kept as the differential reference: the same visit
+// loop over an explicit (active, cursor) pair.
+type refWalk struct {
+	greedy bool
+	active []int
+	rr     int
+}
+
+func (s *refWalk) walk(visit func(w int) Action) bool {
+	n := len(s.active)
+	for k := 0; k < n; k++ {
+		pos := (s.rr + k) % n
+		switch visit(s.active[pos]) {
+		case Keep:
+		case Deschedule:
+			s.remove(pos)
+			n = len(s.active)
+			k--
+		case Issued:
+			s.advance(pos)
+			return true
+		case IssuedGone:
+			s.advance(pos)
+			s.remove(pos)
+			return true
+		}
+	}
+	return false
+}
+
+func (s *refWalk) advance(pos int) {
+	if s.greedy {
+		s.rr = pos % len(s.active)
+	} else {
+		s.rr = (pos + 1) % len(s.active)
+	}
+}
+
+func (s *refWalk) remove(pos int) {
+	s.active = append(s.active[:pos], s.active[pos+1:]...)
+	if s.rr > pos {
+		s.rr--
+	}
+	if len(s.active) > 0 {
+		s.rr %= len(s.active)
+	} else {
+		s.rr = 0
+	}
+}
+
+// TestTwoLevelWalkMatchesModuloReference drives the two-level walk and
+// the modulo reference through the same random verdict sequences —
+// Keep, Deschedule, Issued, and IssuedGone mixed, round-robin and
+// greedy, with refills between walks — and requires the same visit
+// order, the same active set, and the same cursor after every walk.
+func TestTwoLevelWalkMatchesModuloReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 5))
+	const warps, capacity = 16, 8
+	for _, greedy := range []bool{false, true} {
+		for trial := 0; trial < 200; trial++ {
+			sch, err := New(TwoLevel, capacity, greedy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := sch.(*twoLevel)
+			ref := &refWalk{greedy: greedy}
+			pool := &fakePool{wake: make([]int64, warps), ready: make([]bool, warps)}
+			for walk := 0; walk < 60; walk++ {
+				// Return a random subset of the idle warps to the pool
+				// and refill both schedulers identically.
+				for w := 0; w < warps; w++ {
+					if !pool.ready[w] && !slices.Contains(s.active, w) && rng.IntN(3) == 0 {
+						pool.ready[w], pool.wake[w] = true, int64(rng.IntN(4))
+					}
+				}
+				pool.activated = pool.activated[:0]
+				s.Refill(pool, int64(walk))
+				ref.active = append(ref.active, pool.activated...)
+
+				verdicts := make([]Action, 0, capacity)
+				var got, want []int
+				visit := func(order *[]int, replay bool) func(int) Action {
+					i := 0
+					return func(w int) Action {
+						*order = append(*order, w)
+						if !replay {
+							v := Action(rng.IntN(4))
+							if rng.IntN(2) == 0 {
+								v = Keep // keep walks long enough to wrap
+							}
+							verdicts = append(verdicts, v)
+						}
+						if i == len(verdicts) {
+							return Keep // the reference walked further; the order check fails
+						}
+						v := verdicts[i]
+						i++
+						return v
+					}
+				}
+				gotIssued := s.Walk(visit(&got, false))
+				wantIssued := ref.walk(visit(&want, true))
+				if gotIssued != wantIssued || !slices.Equal(got, want) ||
+					!slices.Equal(s.active, ref.active) || s.rr != ref.rr {
+					t.Fatalf("greedy=%v trial %d walk %d: verdicts %v\n walk visited %v issued=%v, active %v, cursor %d\n  ref visited %v issued=%v, active %v, cursor %d",
+						greedy, trial, walk, verdicts, got, gotIssued, s.active, s.rr, want, wantIssued, ref.active, ref.rr)
+				}
+			}
+		}
+	}
+}
+
+// TestTwoLevelRestoreRejectsStrayCursor: Walk's one-compare wrap needs
+// the cursor inside the active set, so Restore refuses one outside it.
+func TestTwoLevelRestoreRejectsStrayCursor(t *testing.T) {
+	s, _ := New(TwoLevel, 4, false)
+	fill(t, s, 3)
+	st := s.Snapshot()
+	for _, cursor := range []int{-1, 3, 7} {
+		bad := st
+		bad.Cursor = cursor
+		if err := s.Restore(bad); err == nil {
+			t.Errorf("Restore accepted cursor %d over %d active warps", cursor, len(st.Active))
+		}
+	}
+	empty, _ := New(TwoLevel, 4, false)
+	if err := s.Restore(empty.Snapshot()); err != nil {
+		t.Errorf("Restore of an empty set: %v", err)
 	}
 }

@@ -47,6 +47,10 @@ func (s *twoLevel) Restore(st State) error {
 	if err := st.checkRestore(TwoLevel, s.capacity); err != nil {
 		return err
 	}
+	// Walk wraps the cursor with one compare, which needs it in range.
+	if st.Cursor < 0 || st.Cursor >= max(len(st.Active), 1) {
+		return fmt.Errorf("sched: round-robin cursor %d outside an active set of %d", st.Cursor, len(st.Active))
+	}
 	s.active = append(s.active[:0], st.Active...)
 	s.rr = st.Cursor
 	return nil

@@ -30,10 +30,17 @@ func (s *twoLevel) Len() int      { return len(s.active) }
 // A descheduled candidate is removed in place and the walk continues at
 // the position that slid into its slot; an issuing candidate advances the
 // cursor past itself (round-robin) or parks it on itself (greedy).
+//
+// The cursor is always inside the set (rr < n whenever n > 0: Refill
+// only appends, and advanceCursor, remove, and Restore keep it in
+// range), so rr+k < 2n and one compare wraps the position.
 func (s *twoLevel) Walk(visit func(w int) Action) bool {
 	n := len(s.active)
 	for k := 0; k < n; k++ {
-		pos := (s.rr + k) % n
+		pos := s.rr + k
+		if pos >= n {
+			pos -= n
+		}
 		switch visit(s.active[pos]) {
 		case Keep:
 		case Deschedule:
@@ -55,25 +62,27 @@ func (s *twoLevel) Walk(visit func(w int) Action) bool {
 	return false
 }
 
-// advanceCursor repositions the round-robin cursor after an issue at pos.
+// advanceCursor repositions the round-robin cursor after an issue at
+// pos, an index into the set.
 func (s *twoLevel) advanceCursor(pos int) {
 	if s.greedy {
-		s.rr = pos % len(s.active) // greedy: stay on this warp
-	} else {
-		s.rr = (pos + 1) % len(s.active)
+		s.rr = pos // greedy: stay on this warp
+		return
+	}
+	if s.rr = pos + 1; s.rr == len(s.active) {
+		s.rr = 0
 	}
 }
 
 // remove deletes the active-set entry at position pos, keeping the
-// cursor on the element it pointed at (or wrapping it into range).
+// cursor on the element it pointed at (or wrapping it into range: an
+// in-range cursor can only land one past the shrunken set's end).
 func (s *twoLevel) remove(pos int) {
 	s.active = append(s.active[:pos], s.active[pos+1:]...)
 	if s.rr > pos {
 		s.rr--
 	}
-	if len(s.active) > 0 {
-		s.rr %= len(s.active)
-	} else {
+	if s.rr >= len(s.active) {
 		s.rr = 0
 	}
 }

@@ -468,19 +468,19 @@ func (s *SM) note(t int64) {
 }
 
 // visitWarp is the Walk visitor: it judges one active-set candidate,
-// issuing it when its operands are ready.
+// issuing it when its operands are ready. It reads the warp's 8-byte
+// issue record, never the wide instruction.
 func (s *SM) visitWarp(wIdx int) sched.Action {
 	w := s.disp.Warp(wIdx)
-	wi := &w.Trace[w.PC]
-
 	if w.NextIssue > s.cycle {
 		s.note(w.NextIssue)
 		return sched.Keep
 	}
+	r := &w.Issue[w.PC]
 	depReady := int64(0)
-	for _, src := range wi.Srcs {
-		if src.Reg != isa.NoReg {
-			if t := w.RegReady[src.Reg]; t > depReady {
+	for _, reg := range r.Src {
+		if reg != isa.NoReg {
+			if t := w.RegReady[reg]; t > depReady {
 				depReady = t
 			}
 		}
@@ -494,20 +494,22 @@ func (s *SM) visitWarp(wIdx int) sched.Action {
 		}
 		return sched.Keep
 	}
-	return s.issue(wIdx, w, wi)
+	return s.issue(wIdx, w, r)
 }
 
-// issue executes one warp instruction and reports to the scheduler
-// whether the warp stays in the active set (Issued) or leaves it on a
-// barrier or exit (IssuedGone).
-func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
+// issue executes the warp instruction whose issue record is r and
+// reports to the scheduler whether the warp stays in the active set
+// (Issued) or leaves it on a barrier or exit (IssuedGone). The wide
+// instruction is read only by the global-memory ops and by the
+// bank-model evaluation of runs without memoized outcomes.
+func (s *SM) issue(wIdx int, w *dispatch.Warp, r *isa.Issue) sched.Action {
 	var out banks.Outcome
 	if w.Outcomes != nil {
 		// Replay the memoized outcome (attached at launch for unprobed
 		// runs); the conflict model is bypassed entirely.
 		out = w.Outcomes[w.PC]
 	} else {
-		out = s.bankModel.Evaluate(wi)
+		out = s.bankModel.Evaluate(&w.Trace[w.PC])
 	}
 	// Every event of the instruction is charged to the issuing warp's
 	// stream.
@@ -520,16 +522,11 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 		s.bankModel.HeatInto(acc, conf)
 	}
 	w.ArbStall = out.Arbitration && out.ExtraCycles > 0
-	sc.WarpInsts++
-	sc.ThreadInsts += int64(wi.ActiveThreads())
-	if wi.Spill {
-		sc.SpillInsts++
-	}
+	sc.RecordIssue(r)
 	sc.RecordConflict(int(out.MaxPerBank))
 	if out.Arbitration {
 		sc.ArbitrationConflicts++
 	}
-	sc.RecordRegAccesses(wi)
 
 	// Bank-conflict serialization follows the paper's §6.1 model: each
 	// access beyond the first to the most-contended bank delays *this*
@@ -542,7 +539,7 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 	w.NextIssue = s.cycle + 1 + extra
 
 	complete := s.cycle + 1
-	switch wi.Op {
+	switch r.Op {
 	case isa.OpALU, isa.OpNop:
 		complete = s.cycle + s.params.ALULatency + extra
 	case isa.OpSFU:
@@ -555,7 +552,7 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 	case isa.OpLDG:
 		var accs []memsys.Access
 		s.mem.SetCounters(sc)
-		complete, accs = s.mem.LoadLines(wi, s.lines(w, wi), s.cycle, extra)
+		complete, accs = s.mem.LoadLines(&w.Trace[w.PC], s.lines(w), s.cycle, extra)
 		if s.prof != nil {
 			for i := range accs {
 				s.prof.MemAccess(&accs[i])
@@ -563,10 +560,10 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 		}
 	case isa.OpSTG:
 		s.mem.SetCounters(sc)
-		s.mem.StoreLines(wi, s.lines(w, wi), s.cycle, extra)
+		s.mem.StoreLines(&w.Trace[w.PC], s.lines(w), s.cycle, extra)
 	case isa.OpTEX:
 		s.mem.SetCounters(sc)
-		complete = s.mem.TexLines(s.lines(w, wi), s.cycle)
+		complete = s.mem.TexLines(s.lines(w), s.cycle)
 	case isa.OpBAR:
 		s.disp.Barrier(wIdx, s.cycle)
 		return sched.IssuedGone
@@ -575,9 +572,9 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 		return sched.IssuedGone
 	}
 
-	if wi.Dst.Reg != isa.NoReg {
-		if complete > w.RegReady[wi.Dst.Reg] {
-			w.RegReady[wi.Dst.Reg] = complete
+	if r.Dst != isa.NoReg {
+		if complete > w.RegReady[r.Dst] {
+			w.RegReady[r.Dst] = complete
 		}
 	}
 	w.PC++
@@ -587,11 +584,11 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 // lines returns the coalesced lines of the warp's current global memory
 // instruction: the trace source's memo when it supplies one, else the
 // memory pipeline's coalescer run on the spot.
-func (s *SM) lines(w *dispatch.Warp, wi *isa.WarpInst) []uint32 {
+func (s *SM) lines(w *dispatch.Warp) []uint32 {
 	if w.Lines != nil {
 		return w.Lines.At(w.PC)
 	}
-	return s.mem.Coalesce(wi)
+	return s.mem.Coalesce(&w.Trace[w.PC])
 }
 
 // DirtyCacheLines returns the number of modified lines resident in the

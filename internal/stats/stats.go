@@ -90,33 +90,21 @@ func (c *Counters) RecordConflict(maxAccesses int) {
 	c.ConflictCycles += int64(maxAccesses - 1)
 }
 
-// RecordRegAccesses files one warp instruction's register hierarchy
-// events (per-space operand reads and writes) for the energy model.
-func (c *Counters) RecordRegAccesses(wi *isa.WarpInst) {
-	for _, src := range wi.Srcs {
-		switch {
-		case !src.Valid():
-		case src.Space == isa.SpaceMRF:
-			c.MRFReads++
-		case src.Space == isa.SpaceORF:
-			c.ORFReads++
-		case src.Space == isa.SpaceLRF:
-			c.LRFReads++
-		}
-	}
-	if wi.Dst.Valid() {
-		switch wi.Dst.Space {
-		case isa.SpaceMRF:
-			c.MRFWrites++
-		case isa.SpaceORF:
-			c.ORFWrites++
-		case isa.SpaceLRF:
-			c.LRFWrites++
-		}
-		if wi.DstMRFWrite && wi.Dst.Space != isa.SpaceMRF {
-			c.MRFWrites++
-		}
-	}
+// RecordIssue files one issued warp instruction from its issue record
+// (isa.IssueRecords): the instruction, its active threads, its spill
+// flag, and its register hierarchy events (per-space operand reads and
+// writes) for the energy model.
+func (c *Counters) RecordIssue(r *isa.Issue) {
+	t := r.Tally
+	c.WarpInsts++
+	c.ThreadInsts += int64(r.Threads)
+	c.SpillInsts += t.Spills()
+	c.MRFReads += t.Reads(isa.SpaceMRF)
+	c.ORFReads += t.Reads(isa.SpaceORF)
+	c.LRFReads += t.Reads(isa.SpaceLRF)
+	c.MRFWrites += t.Writes(isa.SpaceMRF)
+	c.ORFWrites += t.Writes(isa.SpaceORF)
+	c.LRFWrites += t.Writes(isa.SpaceLRF)
 }
 
 // DRAMBytes returns total DRAM traffic in bytes.

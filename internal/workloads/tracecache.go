@@ -27,11 +27,17 @@
 // The cache also memoizes each warp's coalesced global-memory lines
 // (memsys.Lines: every LDG, STG, and TEX instruction's distinct cache
 // lines and touched-sector masks), which likewise depend only on the
-// addresses. The timing core then walks the precomputed lines instead of
-// re-coalescing 32 addresses per global access, leaving only
-// timing-dependent work in the cycle loop. Both memos are compact — a
-// 4-byte Outcome per instruction and variant, and 4 bytes per
-// instruction plus 4 per line — next to the instructions themselves.
+// addresses, and each warp's issue records (isa.Issue: the source and
+// destination registers, op, active-thread count, and packed
+// register-access tally the scheduler's readiness check and the issue
+// charge read). The timing core then walks the precomputed lines
+// instead of re-coalescing 32 addresses per global access, and reads one
+// 8-byte record per visit instead of the 24-byte instruction, leaving
+// only timing-dependent work in the cycle loop. The three memos are
+// compact next to the instructions themselves (24 bytes each, plus 128
+// per address vector): a 4-byte Outcome per instruction and variant, 4
+// bytes per instruction plus 4 per line, and an 8-byte record per
+// instruction. Each is charged to the byte budget when built.
 //
 // Memory is bounded: the cache tracks an approximate byte footprint and
 // flushes itself entirely when it would exceed the budget (entries are
@@ -77,12 +83,15 @@ func outcomeIndex(design config.Design, aggressive bool) int {
 	return i
 }
 
-// warpEntry memoizes one warp's instruction stream, its coalesced
-// lines, and its per-variant bank outcomes. Each field is built at most
-// once; the built slices are never written again.
+// warpEntry memoizes one warp's instruction stream, its issue records,
+// its coalesced lines, and its per-variant bank outcomes. Each field is
+// built at most once; the built slices are never written again.
 type warpEntry struct {
 	traceOnce sync.Once
 	insts     []isa.WarpInst
+
+	issueOnce sync.Once
+	issue     []isa.Issue
 
 	linesOnce sync.Once
 	lines     memsys.Lines
@@ -276,6 +285,19 @@ func (s *Source) WarpOutcomes(cta, warp int, design config.Design, aggressive bo
 		charge(int64(len(slot.out)) * int64(unsafe.Sizeof(banks.Outcome{})))
 	})
 	return slot.out
+}
+
+// WarpIssue returns the memoized issue records of one warp's
+// instructions (see isa.IssueRecords). The returned slice is shared and
+// immutable; it is index-aligned with WarpTrace(cta, warp). The call
+// rides on the warp's trace lookup and is not counted as one.
+func (s *Source) WarpIssue(cta, warp int) []isa.Issue {
+	e := s.entry(cta, warp)
+	e.issueOnce.Do(func() {
+		e.issue = isa.IssueRecords(e.insts)
+		charge(int64(len(e.issue)) * int64(unsafe.Sizeof(isa.Issue{})))
+	})
+	return e.issue
 }
 
 // WarpLines returns the memoized coalesced lines of one warp's global

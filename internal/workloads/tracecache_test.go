@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/memsys"
+	"repro/internal/stats"
 )
 
 // freshSource returns a Source for the named registry kernel.
@@ -81,7 +83,7 @@ func TestTraceCacheKeyDistinguishesVariants(t *testing.T) {
 }
 
 // TestTraceCacheConcurrent hammers one kernel's traces, outcome tables,
-// and lines memos from 8 goroutines; under -race this proves the cache
+// lines memos, and issue records from 8 goroutines; under -race this proves the cache
 // is safe, and the pointer comparison proves each entry was built
 // exactly once.
 func TestTraceCacheConcurrent(t *testing.T) {
@@ -95,6 +97,7 @@ func TestTraceCacheConcurrent(t *testing.T) {
 	traces := make([][]*isa.WarpInst, goroutines) // per-goroutine first-element pointers
 	outs := make([][]*banks.Outcome, goroutines)
 	lines := make([][]*uint32, goroutines)
+	issue := make([][]*isa.Issue, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -117,6 +120,12 @@ func TestTraceCacheConcurrent(t *testing.T) {
 						return
 					}
 					lines[g] = append(lines[g], &l[0])
+					r := s.WarpIssue(c, w)
+					if len(r) != len(tr) {
+						t.Errorf("goroutine %d: %d issue records for %d instructions", g, len(r), len(tr))
+						return
+					}
+					issue[g] = append(issue[g], &r[0])
 				}
 			}
 		}(g)
@@ -131,6 +140,9 @@ func TestTraceCacheConcurrent(t *testing.T) {
 		}
 		if !reflect.DeepEqual(lines[0], lines[g]) {
 			t.Errorf("goroutine %d saw different lines backing arrays than goroutine 0", g)
+		}
+		if !reflect.DeepEqual(issue[0], issue[g]) {
+			t.Errorf("goroutine %d saw different issue-record backing arrays than goroutine 0", g)
 		}
 	}
 }
@@ -207,6 +219,126 @@ func TestWarpLinesMatchCoalescer(t *testing.T) {
 	if globals == 0 || spills == 0 {
 		t.Fatalf("checked %d global memory instructions, %d of them spill code; want both > 0", globals, spills)
 	}
+}
+
+// TestIssueRecordsMatchTrace is the differential check behind the
+// timing core's issue path: for every registry kernel, with and without
+// spill code, every memoized issue record must carry its instruction's
+// registers, op, and active-thread count, and RecordIssue must charge
+// exactly what a per-operand reference charges for the instruction.
+func TestIssueRecordsMatchTrace(t *testing.T) {
+	ResetTraceCache()
+	defer ResetTraceCache()
+	checked, spills, writeThroughs := 0, 0, 0
+	for _, k := range All() {
+		for _, regs := range []int{0, k.RegsNeeded / 2} {
+			src := &Source{K: k, RegsAvail: regs}
+			_, warps := src.Grid()
+			for w := 0; w < warps; w++ {
+				insts := src.WarpTrace(0, w)
+				recs := src.WarpIssue(0, w)
+				if len(recs) != len(insts) {
+					t.Fatalf("%s regs=%d warp %d: %d records for %d instructions", k.Name, regs, w, len(recs), len(insts))
+				}
+				for i := range insts {
+					wi, r := &insts[i], &recs[i]
+					want := isa.Issue{
+						Src:     [3]uint8{wi.Srcs[0].Reg, wi.Srcs[1].Reg, wi.Srcs[2].Reg},
+						Dst:     wi.Dst.Reg,
+						Op:      wi.Op,
+						Threads: uint8(wi.ActiveThreads()),
+						Tally:   r.Tally, // checked through RecordIssue below
+					}
+					if *r != want {
+						t.Fatalf("%s regs=%d warp %d inst %d (%v): record %+v, want %+v", k.Name, regs, w, i, wi, *r, want)
+					}
+					var got stats.Counters
+					got.RecordIssue(r)
+					if ref := referenceCharge(wi); got != ref {
+						t.Fatalf("%s regs=%d warp %d inst %d (%v): RecordIssue charged %+v, reference %+v", k.Name, regs, w, i, wi, got, ref)
+					}
+					checked++
+					if wi.Spill {
+						spills++
+					}
+					if wi.DstMRFWrite && wi.Dst.Valid() && wi.Dst.Space != isa.SpaceMRF {
+						writeThroughs++
+					}
+				}
+			}
+		}
+	}
+	if spills == 0 || writeThroughs == 0 {
+		t.Fatalf("checked %d instructions, %d spill code, %d MRF write-throughs; want both > 0", checked, spills, writeThroughs)
+	}
+
+	// Trace files may carry any operand bytes: absent registers, spaces
+	// outside the hierarchy, and write-through flags on MRF results.
+	rng := rand.New(rand.NewPCG(3, 9))
+	operand := func() isa.Operand {
+		reg := uint8(rng.IntN(isa.MaxRegs))
+		if rng.IntN(4) == 0 {
+			reg = isa.NoReg
+		}
+		return isa.Operand{Reg: reg, Space: isa.RegSpace(rng.IntN(6))}
+	}
+	insts := make([]isa.WarpInst, 2000)
+	for i := range insts {
+		insts[i] = isa.WarpInst{
+			Op:          isa.Op(rng.IntN(12)),
+			Dst:         operand(),
+			DstMRFWrite: rng.IntN(2) == 0,
+			Srcs:        [3]isa.Operand{operand(), operand(), operand()},
+			Spill:       rng.IntN(2) == 0,
+			Mask:        rng.Uint32(),
+		}
+	}
+	for i, r := range isa.IssueRecords(insts) {
+		var got stats.Counters
+		got.RecordIssue(&r)
+		if ref := referenceCharge(&insts[i]); got != ref {
+			t.Fatalf("random inst %d (%+v): RecordIssue charged %+v, reference %+v", i, insts[i], got, ref)
+		}
+	}
+}
+
+// referenceCharge is the issue charge of one instruction written out
+// per operand: one instruction, its active threads, its spill flag, a
+// read per valid source in its space, a write per valid destination in
+// its space, and a second MRF write for a write-through result held
+// elsewhere.
+func referenceCharge(wi *isa.WarpInst) stats.Counters {
+	c := stats.Counters{WarpInsts: 1, ThreadInsts: int64(wi.ActiveThreads())}
+	if wi.Spill {
+		c.SpillInsts = 1
+	}
+	for _, src := range wi.Srcs {
+		if !src.Valid() {
+			continue
+		}
+		switch src.Space {
+		case isa.SpaceMRF:
+			c.MRFReads++
+		case isa.SpaceORF:
+			c.ORFReads++
+		case isa.SpaceLRF:
+			c.LRFReads++
+		}
+	}
+	if wi.Dst.Valid() {
+		switch wi.Dst.Space {
+		case isa.SpaceMRF:
+			c.MRFWrites++
+		case isa.SpaceORF:
+			c.ORFWrites++
+		case isa.SpaceLRF:
+			c.LRFWrites++
+		}
+		if wi.DstMRFWrite && wi.Dst.Space != isa.SpaceMRF {
+			c.MRFWrites++
+		}
+	}
+	return c
 }
 
 // referenceLines coalesces one instruction the slow way: each active
