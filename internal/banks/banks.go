@@ -55,10 +55,6 @@ type Model struct {
 	bankMem [config.NumBanks]uint8 // memory data accesses per bank
 	port    [config.NumClusters]uint8
 	granule [isa.WarpSize]uint32 // dedupe scratch
-	// trivial marks that the last Evaluate took the no-bank-traffic fast
-	// path and left the scratch tallies stale; HeatInto must contribute
-	// nothing for such an instruction.
-	trivial bool
 }
 
 // New returns a conflict model for the given design. The FermiLike design
@@ -101,46 +97,10 @@ func (m *Model) unified() bool { return m.design == config.Unified }
 
 // Evaluate computes the bank outcome of one warp instruction.
 func (m *Model) Evaluate(wi *isa.WarpInst) Outcome {
-	// Fast path: an instruction with no MRF operand reads and no memory
-	// addresses touches no bank at all — its outcome is fixed, and the
-	// scratch tallies can stay stale (HeatInto checks m.trivial).
-	if !(wi.Op.IsMemory() && wi.Addrs != nil) &&
-		!(wi.Srcs[0].Space == isa.SpaceMRF && wi.Srcs[0].Valid()) &&
-		!(wi.Srcs[1].Space == isa.SpaceMRF && wi.Srcs[1].Valid()) &&
-		!(wi.Srcs[2].Space == isa.SpaceMRF && wi.Srcs[2].Valid()) {
-		m.trivial = true
+	memAccesses, touched := m.file(wi)
+	if !touched {
 		return Outcome{MaxPerBank: 1}
 	}
-	m.trivial = false
-	for i := range m.bankReg {
-		m.bankReg[i] = 0
-		m.bankMem[i] = 0
-	}
-	for i := range m.port {
-		m.port[i] = 0
-	}
-
-	// MRF operand reads. Register r maps to bank r mod 4 within each
-	// cluster; every cluster reads its own copy for its 4 lanes, so one
-	// MRF source adds one access to the same bank slot of all clusters.
-	for _, src := range wi.Srcs {
-		if src.Valid() && src.Space == isa.SpaceMRF {
-			slot := int(src.Reg) % config.BanksPerCluster
-			for c := 0; c < config.NumClusters; c++ {
-				m.bankReg[c*config.BanksPerCluster+slot]++
-			}
-		}
-	}
-
-	memAccesses := 0
-	if wi.Op.IsMemory() && wi.Addrs != nil {
-		if wi.Op.IsShared() {
-			memAccesses = m.addShared(wi)
-		} else {
-			memAccesses = m.addGlobal(wi)
-		}
-	}
-
 	worst, arbitration := 0, false
 	if m.unified() {
 		// Shared banks: register and memory accesses sum per bank, and
@@ -176,15 +136,14 @@ func (m *Model) Evaluate(wi *isa.WarpInst) Outcome {
 	}
 }
 
-// HeatInto adds the bank footprint of the most recently Evaluated
-// instruction to the per-bank access and conflict accumulators (the
-// observability layer's heatmap). A bank's conflict count is the
-// serialized accesses beyond its first in one instruction. Must be
-// called after Evaluate and before the next one; it performs no
-// allocation.
-func (m *Model) HeatInto(access, conflict *[config.NumBanks]int64) {
-	if m.trivial {
-		// The last instruction touched no bank; the tallies are stale.
+// Heat evaluates one warp instruction's bank footprint and adds it to
+// the per-bank access and conflict accumulators (the observability
+// layer's heatmap). A bank's conflict count is the serialized accesses
+// beyond its first in one instruction. The footprint is the same under
+// both scatter variants, which differ only in how the per-cluster port
+// turns it into an Outcome. It performs no allocation.
+func (m *Model) Heat(wi *isa.WarpInst, access, conflict *[config.NumBanks]int64) {
+	if _, touched := m.file(wi); !touched {
 		return
 	}
 	for b := range m.bankReg {
@@ -197,6 +156,48 @@ func (m *Model) HeatInto(access, conflict *[config.NumBanks]int64) {
 			conflict[b] += n - 1
 		}
 	}
+}
+
+// file tallies the bank and port accesses of one warp instruction into
+// the model's scratch counts and returns the number of distinct memory
+// granules it touches. An instruction with no MRF operand reads and no
+// memory addresses touches no bank at all: file reports touched false
+// and leaves the scratch counts stale.
+func (m *Model) file(wi *isa.WarpInst) (memAccesses int, touched bool) {
+	if !(wi.Op.IsMemory() && wi.Addrs != nil) &&
+		!(wi.Srcs[0].Space == isa.SpaceMRF && wi.Srcs[0].Valid()) &&
+		!(wi.Srcs[1].Space == isa.SpaceMRF && wi.Srcs[1].Valid()) &&
+		!(wi.Srcs[2].Space == isa.SpaceMRF && wi.Srcs[2].Valid()) {
+		return 0, false
+	}
+	for i := range m.bankReg {
+		m.bankReg[i] = 0
+		m.bankMem[i] = 0
+	}
+	for i := range m.port {
+		m.port[i] = 0
+	}
+
+	// MRF operand reads. Register r maps to bank r mod 4 within each
+	// cluster; every cluster reads its own copy for its 4 lanes, so one
+	// MRF source adds one access to the same bank slot of all clusters.
+	for _, src := range wi.Srcs {
+		if src.Valid() && src.Space == isa.SpaceMRF {
+			slot := int(src.Reg) % config.BanksPerCluster
+			for c := 0; c < config.NumClusters; c++ {
+				m.bankReg[c*config.BanksPerCluster+slot]++
+			}
+		}
+	}
+
+	if wi.Op.IsMemory() && wi.Addrs != nil {
+		if wi.Op.IsShared() {
+			memAccesses = m.addShared(wi)
+		} else {
+			memAccesses = m.addGlobal(wi)
+		}
+	}
+	return memAccesses, true
 }
 
 // addShared files the shared-memory accesses of the instruction and

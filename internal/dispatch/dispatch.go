@@ -36,34 +36,20 @@ type TraceSource interface {
 	WarpTrace(cta, warp int) []isa.WarpInst
 }
 
-// OutcomeSource is an optional TraceSource extension: a source that can
-// additionally supply the precomputed bank-conflict outcome of every
-// instruction under a given bank-model variant (the trace cache in
-// internal/workloads memoizes these). The slice must be index-aligned
-// with the warp's trace and immutable.
-type OutcomeSource interface {
-	TraceSource
-	WarpOutcomes(cta, warp int, design config.Design, aggressive bool) []banks.Outcome
-}
-
-// LineSource is an optional TraceSource extension: a source that can
-// additionally supply each warp's memoized coalesced global-memory lines
-// (memsys.Lines; the trace cache in internal/workloads builds them). The
-// arena must be index-aligned with the warp's trace and immutable.
-type LineSource interface {
-	TraceSource
-	WarpLines(cta, warp int) memsys.Lines
-}
-
-// IssueSource is an optional TraceSource extension: a source that can
-// additionally supply each warp's memoized issue records
-// (isa.IssueRecords; the trace cache in internal/workloads builds them).
-// The slice must be index-aligned with the warp's trace and immutable.
-// For any other source the dispatcher builds the records itself when
-// it launches the warp.
-type IssueSource interface {
+// MemoSource is a TraceSource that also supplies each warp's memoized
+// trace-static tables (the trace cache in internal/workloads builds
+// them): the issue records (isa.IssueRecords), the coalesced
+// global-memory lines (memsys.TraceLines), and the bank-conflict
+// outcomes under a bank-model variant (banks.Outcomes). Each table must
+// be index-aligned with the warp's trace and immutable; a nil table
+// means the source has none for that warp. For any other source, and
+// any nil table, the dispatcher builds the table itself when it
+// launches the warp, so every live warp carries all three.
+type MemoSource interface {
 	TraceSource
 	WarpIssue(cta, warp int) []isa.Issue
+	WarpLines(cta, warp int) memsys.Lines
+	WarpOutcomes(cta, warp int, design config.Design, aggressive bool) []banks.Outcome
 }
 
 // Status is a warp's lifecycle state.
@@ -88,21 +74,19 @@ type Warp struct {
 	Status  Status
 	CTASlot int
 	Trace   []isa.WarpInst
-	// Issue holds the issue record of each Trace instruction (see
-	// IssueSource): the timing core's readiness check and issue charge
-	// read it instead of the wide instruction. Every live warp carries
-	// one.
-	Issue []isa.Issue
-	// Outcomes, when non-nil, holds the precomputed bank-conflict
-	// outcome of each Trace instruction for the SM's bank-model variant
-	// (see OutcomeSource); the timing core then skips the per-issue
-	// conflict evaluation. Probed runs leave it unused.
+	// Issue, Outcomes, and Lines are the trace-static tables of Trace,
+	// index-aligned with it (see MemoSource); every live warp carries
+	// all three, attached at launch. Issue holds each instruction's
+	// issue record, which the timing core's readiness check and issue
+	// charge read instead of the wide instruction. Outcomes holds each
+	// instruction's bank-conflict outcome under the dispatcher's
+	// bank-model variant (see EnableOutcomes). Lines holds each global
+	// memory instruction's coalesced lines, which the memory pipeline
+	// walks.
+	Issue    []isa.Issue
 	Outcomes []banks.Outcome
-	// Lines, when non-nil, holds the memoized coalesced lines of each
-	// Trace instruction (see LineSource); the memory pipeline then walks
-	// them instead of coalescing per issue.
-	Lines memsys.Lines
-	PC    int
+	Lines    memsys.Lines
+	PC       int
 	// NextIssue serializes the warp's own issue stream while the
 	// bank-conflict extra cycles of its previous instruction elapse.
 	NextIssue int64
@@ -141,13 +125,9 @@ type StreamSpec struct {
 // streamState is one stream's launch bookkeeping.
 type streamState struct {
 	src TraceSource
-	// outSrc is the stream's outcome memo once EnableOutcomes accepts
-	// it; lineSrc and issueSrc are its lines and issue-record memos,
-	// when the source has them. Each stream has its own trace source
-	// and therefore its own memos.
-	outSrc    OutcomeSource
-	lineSrc   LineSource
-	issueSrc  IssueSource
+	// memo is src's memo view, nil when the source memoizes nothing.
+	// Each stream has its own trace source and therefore its own memos.
+	memo      MemoSource
 	nextCTA   int // next grid CTA of this stream to launch
 	totalCTAs int
 	warpsPer  int
@@ -168,6 +148,8 @@ type streamState struct {
 // slots are interleaved round-robin across streams, and a drained slot
 // relaunches the next CTA of its own stream.
 type Dispatcher struct {
+	// design and aggressive select the bank-model variant of every
+	// warp's outcomes (see EnableOutcomes).
 	design     config.Design
 	aggressive bool
 
@@ -234,8 +216,7 @@ func NewMulti(specs []StreamSpec) (*Dispatcher, error) {
 		}
 		st := &d.streams[i]
 		st.src = sp.Source
-		st.lineSrc, _ = sp.Source.(LineSource)
-		st.issueSrc, _ = sp.Source.(IssueSource)
+		st.memo, _ = sp.Source.(MemoSource)
 		st.totalCTAs = totalCTAs
 		st.warpsPer = warpsPer
 		st.doneAt = -1
@@ -272,22 +253,11 @@ func NewMulti(specs []StreamSpec) (*Dispatcher, error) {
 	return d, nil
 }
 
-// EnableOutcomes requests precomputed bank outcomes for every launched
-// warp under the given bank-model variant. It reports whether every
-// stream's trace source supports them; it must be called before Start.
-func (d *Dispatcher) EnableOutcomes(design config.Design, aggressive bool) bool {
-	for i := range d.streams {
-		src, ok := d.streams[i].src.(OutcomeSource)
-		if !ok {
-			for j := 0; j < i; j++ {
-				d.streams[j].outSrc = nil
-			}
-			return false
-		}
-		d.streams[i].outSrc = src
-	}
+// EnableOutcomes selects the bank-model variant every launched warp's
+// outcomes are resolved under; a dispatcher that never calls it uses
+// the simple partitioned variant. It must be called before Start.
+func (d *Dispatcher) EnableOutcomes(design config.Design, aggressive bool) {
 	d.design, d.aggressive = design, aggressive
-	return true
 }
 
 // Start launches the initial resident CTAs at the given cycle and records
@@ -336,23 +306,24 @@ func (d *Dispatcher) launch(slot int, cycle int64) {
 	st.c.ThreadsRun += int64(st.warpsPer) * isa.WarpSize
 }
 
-// resolveMemos attaches the stream source's memoized bank outcomes,
-// coalesced lines, and issue records of warp (cta, warp) to w, or
-// detaches the optional ones when the dispatcher does not use them.
-// Issue records are not optional: a source without the memo gets them
-// built here from w.Trace, once per launch (or restore).
+// resolveMemos attaches the trace-static tables of warp (cta, warp) to
+// w: the stream source's memo of each table when it has one, else a
+// table built here from w.Trace, once per launch (or restore).
 func (d *Dispatcher) resolveMemos(st *streamState, w *Warp, cta, warp int) {
-	w.Outcomes, w.Lines = nil, nil
-	if st.outSrc != nil {
-		w.Outcomes = st.outSrc.WarpOutcomes(cta, warp, d.design, d.aggressive)
+	w.Issue, w.Lines, w.Outcomes = nil, nil, nil
+	if st.memo != nil {
+		w.Issue = st.memo.WarpIssue(cta, warp)
+		w.Lines = st.memo.WarpLines(cta, warp)
+		w.Outcomes = st.memo.WarpOutcomes(cta, warp, d.design, d.aggressive)
 	}
-	if st.lineSrc != nil {
-		w.Lines = st.lineSrc.WarpLines(cta, warp)
-	}
-	if st.issueSrc != nil {
-		w.Issue = st.issueSrc.WarpIssue(cta, warp)
-	} else {
+	if w.Issue == nil {
 		w.Issue = isa.IssueRecords(w.Trace)
+	}
+	if w.Lines == nil {
+		w.Lines = memsys.TraceLines(w.Trace)
+	}
+	if w.Outcomes == nil {
+		w.Outcomes = banks.Outcomes(d.design, d.aggressive, w.Trace)
 	}
 }
 

@@ -19,12 +19,12 @@ type CTAState struct {
 //
 // Warp entries are value copies, which deep-copies the per-register
 // scoreboard (an array) but shares the Trace, Issue, Outcomes, and
-// Lines slices — those are immutable by the TraceSource contract (the
-// workloads trace cache memoizes them process-wide; Issue records the
-// dispatcher built itself are never written after launch either), so
-// sharing them across any number of forks is the copy-on-write half of
-// the snapshot design: a 64-warp snapshot costs a few KB of mutable
-// state, never the traces.
+// Lines slices — those are immutable by the TraceSource and MemoSource
+// contracts (the workloads trace cache memoizes them process-wide; the
+// tables the dispatcher built itself are never written after launch
+// either), so sharing them across any number of forks is the
+// copy-on-write half of the snapshot design: a 64-warp snapshot costs a
+// few KB of mutable state, never the traces.
 type State struct {
 	Warps []Warp
 	CTAs  []CTAState
@@ -69,12 +69,12 @@ func (d *Dispatcher) Snapshot() *State {
 // can seed any number of forks, concurrently. The grid shape and slot
 // counts must match.
 //
-// The memos are re-resolved rather than trusted: the fork's own outcome
-// configuration (EnableOutcomes, or its absence on probed runs) decides
-// whether each live warp replays memoized bank outcomes, and the fork's
-// own source whether it walks memoized lines and where its issue
-// records come from, so a snapshot taken by an unprobed parent restores
-// correctly into a probed fork and vice versa.
+// The trace-static tables are re-resolved rather than trusted, exactly
+// as at launch: every live warp takes its issue records, lines, and
+// outcomes (under the fork's own bank-model variant, see
+// EnableOutcomes) from the fork's own source when it memoizes them,
+// else builds them from its restored trace, so a snapshot restores into
+// a fork whose source memoizes more or less than the parent's.
 // The cached minimum wake is recomputed from the restored wake array on
 // the first query.
 func (d *Dispatcher) Restore(st *State) error {

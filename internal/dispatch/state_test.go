@@ -1,9 +1,11 @@
 package dispatch
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
+	"repro/internal/banks"
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/memsys"
@@ -14,30 +16,29 @@ import (
 // traceOnly hides a source's memo extensions.
 type traceOnly struct{ TraceSource }
 
-// TestRestoreReresolvesMemos: a restored fork attaches the memos its
-// own configuration asks for, never the parent's. Bank outcomes follow
-// the fork's EnableOutcomes (unprobed forks replay them, probed ones do
-// not), and coalesced lines follow the fork's source; every attached
-// lines memo must equal the coalescer's output for the warp's restored
-// trace, also after CTA rotation moved grid CTAs between slots. Every
-// live warp carries issue records aligned with its restored trace, taken
-// from the fork's own source: the trace cache's memo when it has one,
-// else records built for the fork.
+// TestRestoreReresolvesMemos: a restored fork attaches the tables its
+// own source and bank-model variant give, never the parent's. Every
+// live warp of every fork — also after CTA rotation moved grid CTAs
+// between slots — carries issue records, lines, and outcomes equal to
+// isa.IssueRecords, memsys.TraceLines, and banks.Outcomes of its
+// restored trace under the fork's variant, and each table is the trace
+// cache's own slice exactly when the fork's source memoizes it. needle
+// mixes shared and global accesses, so the variants' outcomes differ.
+// The SM configures probed and unprobed dispatchers alike (EnableOutcomes
+// with the SM's variant), so the variants below cover probed forks too.
 func TestRestoreReresolvesMemos(t *testing.T) {
-	k, err := workloads.ByName("bfs")
+	k, err := workloads.ByName("needle")
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := &workloads.Source{K: k}
 	const resident = 2
-	for _, parentProbed := range []bool{false, true} {
-		parent, err := New(src, resident, &stats.Counters{})
+	for _, parentSrc := range []TraceSource{src, traceOnly{src}} {
+		parent, err := New(parentSrc, resident, &stats.Counters{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !parentProbed && !parent.EnableOutcomes(config.Unified, false) {
-			t.Fatal("workloads.Source lacks bank outcomes")
-		}
+		parent.EnableOutcomes(config.Unified, false)
 		parent.Start(0)
 		// Retire slot 0's CTA so grid CTA 2 rotates into it.
 		for _, w := range parent.ctas[0].warps {
@@ -50,19 +51,23 @@ func TestRestoreReresolvesMemos(t *testing.T) {
 		snap := parent.Snapshot()
 
 		for _, fc := range []struct {
-			name          string
-			src           TraceSource
-			probed, memos bool
+			name       string
+			src        TraceSource
+			design     config.Design
+			aggressive bool
+			memos      bool
 		}{
-			{"unprobed fork", src, false, true},
-			{"probed fork", src, true, true},
-			{"fork without memos", traceOnly{src}, false, false},
+			{"memo fork", src, config.Unified, false, true},
+			{"memo fork, aggressive scatter", src, config.Unified, true, true},
+			{"memo fork, partitioned", src, config.Partitioned, false, true},
+			{"fork without memos", traceOnly{src}, config.Unified, false, false},
+			{"fork without memos, aggressive scatter", traceOnly{src}, config.Unified, true, false},
 		} {
 			fork, err := New(fc.src, resident, &stats.Counters{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantOutcomes := !fc.probed && fork.EnableOutcomes(config.Unified, false)
+			fork.EnableOutcomes(fc.design, fc.aggressive)
 			if err := fork.Restore(snap); err != nil {
 				t.Fatal(err)
 			}
@@ -73,31 +78,25 @@ func TestRestoreReresolvesMemos(t *testing.T) {
 					continue
 				}
 				live++
+				where := fmt.Sprintf("parent %T, %s, warp %d", parentSrc, fc.name, i)
+				cta, warp := fork.ctas[w.CTASlot].id, i%fork.streams[0].warpsPer
 				if want := isa.IssueRecords(w.Trace); !slices.Equal(w.Issue, want) {
-					t.Fatalf("parent probed=%v, %s, warp %d: %d issue records not aligned with its %d-instruction trace",
-						parentProbed, fc.name, i, len(w.Issue), len(w.Trace))
+					t.Fatalf("%s: %d issue records not aligned with its %d-instruction trace", where, len(w.Issue), len(w.Trace))
 				}
-				memo := src.WarpIssue(fork.ctas[w.CTASlot].id, i%fork.streams[0].warpsPer)
-				if shared := &w.Issue[0] == &memo[0]; shared != fc.memos {
-					t.Errorf("parent probed=%v, %s, warp %d: issue records shared with the trace cache = %v, want %v",
-						parentProbed, fc.name, i, shared, fc.memos)
+				if want := memsys.TraceLines(w.Trace); !slices.Equal(w.Lines, want) {
+					t.Fatalf("%s: lines %x, want TraceLines %x", where, w.Lines, want)
 				}
-				if got := w.Outcomes != nil; got != wantOutcomes {
-					t.Errorf("parent probed=%v, %s, warp %d: outcomes attached = %v, want %v", parentProbed, fc.name, i, got, wantOutcomes)
+				if want := banks.Outcomes(fc.design, fc.aggressive, w.Trace); !slices.Equal(w.Outcomes, want) {
+					t.Fatalf("%s: outcomes differ from banks.Outcomes of the restored trace", where)
 				}
-				if got := w.Lines != nil; got != fc.memos {
-					t.Fatalf("parent probed=%v, %s, warp %d: lines attached = %v, want %v", parentProbed, fc.name, i, got, fc.memos)
+				shared := []bool{
+					sameArray(w.Issue, src.WarpIssue(cta, warp)),
+					sameArray(w.Lines, src.WarpLines(cta, warp)),
+					sameArray(w.Outcomes, src.WarpOutcomes(cta, warp, fc.design, fc.aggressive)),
 				}
-				if w.Lines == nil {
-					continue
-				}
-				for pc := range w.Trace {
-					var want []uint32
-					if w.Trace[pc].Op.IsGlobal() {
-						want = memsys.Coalesce(nil, &w.Trace[pc])
-					}
-					if got := w.Lines.At(pc); !slices.Equal(got, want) {
-						t.Fatalf("parent probed=%v, %s, warp %d pc %d: memo %x, coalescer %x", parentProbed, fc.name, i, pc, got, want)
+				for j, table := range []string{"issue records", "lines", "outcomes"} {
+					if shared[j] != fc.memos {
+						t.Errorf("%s: %s shared with the trace cache = %v, want %v", where, table, shared[j], fc.memos)
 					}
 				}
 			}
@@ -107,3 +106,7 @@ func TestRestoreReresolvesMemos(t *testing.T) {
 		}
 	}
 }
+
+// sameArray reports whether two non-empty slices share their backing
+// array's first element.
+func sameArray[T any](a, b []T) bool { return &a[0] == &b[0] }

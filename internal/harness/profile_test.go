@@ -235,9 +235,12 @@ func TestFormatProfile(t *testing.T) {
 }
 
 // profileGoldens are the probe outputs of smprof's path (a probed
-// runplan run on the baseline machine) pinned byte for byte: the NDJSON
-// stream and the rendered smprof report of a single-kernel run and of a
-// two-stream mix (whose report adds the per-stream stall table).
+// runplan run) pinned byte for byte: the NDJSON stream and the rendered
+// smprof report of a single-kernel run and of a two-stream mix (whose
+// report adds the per-stream stall table) on the baseline machine, and
+// the NDJSON stream of `smprof -kernel bfs -design unified -total 384`,
+// a global-memory kernel on the unified design whose bank heatmap and
+// arbitration stalls go through the global-line banking rule.
 // Regenerate with
 //
 //	go test ./internal/harness -run TestProfileGoldens -update
@@ -250,6 +253,7 @@ var profileGoldens = []struct {
 	{"needle.txt", api.RunRequest{Kernel: "needle"}, false},
 	{"needle+matrixmul.ndjson", mixRequest, true},
 	{"needle+matrixmul.txt", mixRequest, false},
+	{"bfs-unified.ndjson", api.RunRequest{Kernel: "bfs", AllocTotalKB: 384}, true},
 }
 
 // mixRequest is the two-stream mix of the profile goldens.

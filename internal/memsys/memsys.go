@@ -90,7 +90,7 @@ type MemSys struct {
 	// classifier attributes memory waits inside it to MSHR pressure.
 	mshrBlockedUntil int64
 
-	lineBuf [isa.WarpSize]uint32 // Coalesce scratch
+	lineBuf [isa.WarpSize]uint32 // coalesce scratch
 	accBuf  []Access             // reused Load result storage
 }
 
@@ -213,10 +213,10 @@ func unpack(p uint32) (line uint32, sectors uint8) {
 	return p >> SectorBits, uint8(p & (1<<SectorBits - 1))
 }
 
-// Coalesce runs the package Coalesce into the pipeline's scratch
-// buffer, for callers whose trace source does not memoize lines. The
-// result is valid until the next call.
-func (m *MemSys) Coalesce(wi *isa.WarpInst) []uint32 {
+// coalesce runs Coalesce into the pipeline's scratch buffer for Load,
+// Store, and Tex, whose callers hold no memoized lines. The result is
+// valid until the next call.
+func (m *MemSys) coalesce(wi *isa.WarpInst) []uint32 {
 	return Coalesce(m.lineBuf[:0], wi)
 }
 
@@ -272,7 +272,7 @@ const uncachedGranule = 16
 // per-line outcomes; the Access slice is the pipeline's own scratch
 // storage, valid until the next Load call.
 func (m *MemSys) Load(wi *isa.WarpInst, now, extra int64) (int64, []Access) {
-	return m.LoadLines(wi, m.Coalesce(wi), now, extra)
+	return m.LoadLines(wi, m.coalesce(wi), now, extra)
 }
 
 // LoadLines is Load over wi's already coalesced lines (Coalesce's
@@ -366,7 +366,7 @@ func (m *MemSys) LoadLines(wi *isa.WarpInst, lines []uint32, now, extra int64) (
 // no-write-allocate (present lines refreshed, absent lines ignored), or
 // write-allocate with dirty-victim writebacks in write-back mode.
 func (m *MemSys) Store(wi *isa.WarpInst, now, extra int64) {
-	m.StoreLines(wi, m.Coalesce(wi), now, extra)
+	m.StoreLines(wi, m.coalesce(wi), now, extra)
 }
 
 // StoreLines is Store over wi's already coalesced lines.
@@ -417,7 +417,7 @@ func (m *MemSys) StoreLines(wi *isa.WarpInst, lines []uint32, now, extra int64) 
 // fixed long-latency DRAM read per distinct line. It returns the cycle
 // the register result is ready.
 func (m *MemSys) Tex(wi *isa.WarpInst, now int64) int64 {
-	return m.TexLines(m.Coalesce(wi), now)
+	return m.TexLines(m.coalesce(wi), now)
 }
 
 // TexLines is Tex over the instruction's already coalesced lines.

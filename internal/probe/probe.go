@@ -227,8 +227,9 @@ func (p *Probe) Stall(from, to int64, reason StallReason, stream int) {
 }
 
 // Heat returns the probe's per-bank access and conflict accumulators for
-// the SM's issue hook (banks.Model.HeatInto adds one instruction's bank
-// footprint to them). The arrays index by physical bank number.
+// the SM's issue hook (banks.Model.Heat evaluates the issued
+// instruction's bank footprint and adds it to them). The arrays index by
+// physical bank number.
 func (p *Probe) Heat() (access, conflict *[config.NumBanks]int64) {
 	return &p.bankAccess, &p.bankConflict
 }

@@ -100,6 +100,8 @@ type SM struct {
 	params Params
 	cfg    config.MemConfig
 
+	// bankModel files each issued instruction's bank footprint into the
+	// probe's heatmap; only probed runs use it.
 	bankModel *banks.Model
 	sched     sched.Scheduler
 	disp      *dispatch.Dispatcher
@@ -186,10 +188,6 @@ func NewSM(spec Spec) (*SM, error) {
 	if params.ActiveWarps < 1 {
 		params.ActiveWarps = config.ActiveWarps
 	}
-	bankModel := banks.New(cfg.Design)
-	if params.AggressiveScatter {
-		bankModel = banks.NewAggressive(cfg.Design)
-	}
 	mem := spec.Memory
 	var owned *dram.DRAM
 	if mem == nil {
@@ -199,7 +197,7 @@ func NewSM(spec Spec) (*SM, error) {
 	s := &SM{
 		params:    params,
 		cfg:       cfg,
-		bankModel: bankModel,
+		bankModel: banks.New(cfg.Design),
 		dramModel: owned,
 		prof:      spec.Probe,
 	}
@@ -221,13 +219,11 @@ func NewSM(spec Spec) (*SM, error) {
 	if s.disp, err = dispatch.NewMulti(specs); err != nil {
 		return nil, fmt.Errorf("sm: %w", err)
 	}
+	// Every warp replays its bank outcomes under the SM's variant (an
+	// Outcome is a pure function of instruction and variant).
+	s.disp.EnableOutcomes(cfg.Design, params.AggressiveScatter)
 	if spec.Probe != nil {
 		spec.Probe.SetStreams(names, s.streams)
-	} else {
-		// Unprobed runs replay memoized bank outcomes (an Outcome is a
-		// pure function of instruction and variant); probed runs keep
-		// evaluating so the model's scratch tallies feed the heatmap.
-		s.disp.EnableOutcomes(cfg.Design, params.AggressiveScatter)
 	}
 	s.visit = s.visitWarp
 	s.mem = memsys.New(memConfig(cfg, params), mem, &s.streams[0])
@@ -499,18 +495,12 @@ func (s *SM) visitWarp(wIdx int) sched.Action {
 
 // issue executes the warp instruction whose issue record is r and
 // reports to the scheduler whether the warp stays in the active set
-// (Issued) or leaves it on a barrier or exit (IssuedGone). The wide
-// instruction is read only by the global-memory ops and by the
-// bank-model evaluation of runs without memoized outcomes.
+// (Issued) or leaves it on a barrier or exit (IssuedGone). The bank
+// outcome and the coalesced lines are the warp's launch-time tables;
+// the wide instruction is read only by the global-memory ops and by
+// the probe's bank heatmap.
 func (s *SM) issue(wIdx int, w *dispatch.Warp, r *isa.Issue) sched.Action {
-	var out banks.Outcome
-	if w.Outcomes != nil {
-		// Replay the memoized outcome (attached at launch for unprobed
-		// runs); the conflict model is bypassed entirely.
-		out = w.Outcomes[w.PC]
-	} else {
-		out = s.bankModel.Evaluate(&w.Trace[w.PC])
-	}
+	out := w.Outcomes[w.PC]
 	// Every event of the instruction is charged to the issuing warp's
 	// stream.
 	stream := s.disp.Stream(wIdx)
@@ -519,7 +509,7 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, r *isa.Issue) sched.Action {
 		s.lastStream = stream
 		s.prof.Issue(s.cycle, stream)
 		acc, conf := s.prof.Heat()
-		s.bankModel.HeatInto(acc, conf)
+		s.bankModel.Heat(&w.Trace[w.PC], acc, conf)
 	}
 	w.ArbStall = out.Arbitration && out.ExtraCycles > 0
 	sc.RecordIssue(r)
@@ -552,7 +542,7 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, r *isa.Issue) sched.Action {
 	case isa.OpLDG:
 		var accs []memsys.Access
 		s.mem.SetCounters(sc)
-		complete, accs = s.mem.LoadLines(&w.Trace[w.PC], s.lines(w), s.cycle, extra)
+		complete, accs = s.mem.LoadLines(&w.Trace[w.PC], w.Lines.At(w.PC), s.cycle, extra)
 		if s.prof != nil {
 			for i := range accs {
 				s.prof.MemAccess(&accs[i])
@@ -560,10 +550,10 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, r *isa.Issue) sched.Action {
 		}
 	case isa.OpSTG:
 		s.mem.SetCounters(sc)
-		s.mem.StoreLines(&w.Trace[w.PC], s.lines(w), s.cycle, extra)
+		s.mem.StoreLines(&w.Trace[w.PC], w.Lines.At(w.PC), s.cycle, extra)
 	case isa.OpTEX:
 		s.mem.SetCounters(sc)
-		complete = s.mem.TexLines(s.lines(w), s.cycle)
+		complete = s.mem.TexLines(w.Lines.At(w.PC), s.cycle)
 	case isa.OpBAR:
 		s.disp.Barrier(wIdx, s.cycle)
 		return sched.IssuedGone
@@ -579,16 +569,6 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, r *isa.Issue) sched.Action {
 	}
 	w.PC++
 	return sched.Issued
-}
-
-// lines returns the coalesced lines of the warp's current global memory
-// instruction: the trace source's memo when it supplies one, else the
-// memory pipeline's coalescer run on the spot.
-func (s *SM) lines(w *dispatch.Warp) []uint32 {
-	if w.Lines != nil {
-		return w.Lines.At(w.PC)
-	}
-	return s.mem.Coalesce(&w.Trace[w.PC])
 }
 
 // DirtyCacheLines returns the number of modified lines resident in the

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/isa"
+	"repro/internal/memsys"
 )
 
 // Profile is the static characterization of a trace: everything that can
@@ -69,14 +70,22 @@ var reuseBuckets = [3]int{512, 2048, 4096}
 // Analyze computes the profile of a trace. Reuse distances are computed
 // over the interleaved access stream of all warps (round-robin by warp,
 // one instruction at a time), approximating the scheduler's interleaving.
+// The register-access tallies, thread counts, and spill flags come from
+// the issue records the timing core charges (isa.IssueRecords), and the
+// line stream from the timing core's coalescer (memsys.Coalesce, lines
+// in lane order of first touch), so the profile and the simulation
+// share one rule for each.
 func Analyze(t *Trace) *Profile {
 	p := &Profile{OpCounts: make(map[isa.Op]int64)}
 	regs := make(map[uint8]bool)
+	records := make([][]isa.Issue, len(t.Warps))
+	for w, warp := range t.Warps {
+		records[w] = isa.IssueRecords(warp)
+	}
 
 	// Interleave the warps round-robin to build the global line stream.
 	idx := make([]int, len(t.Warps))
-	type lineAccess struct{ line uint32 }
-	var stream []lineAccess
+	var stream, lines []uint32
 
 	active := len(t.Warps)
 	for active > 0 {
@@ -86,42 +95,26 @@ func Analyze(t *Trace) *Profile {
 				continue
 			}
 			active++
-			wi := &warp[idx[w]]
+			wi, r := &warp[idx[w]], &records[w][idx[w]]
 			idx[w]++
 
 			p.Instructions++
-			p.ThreadInstructions += int64(wi.ActiveThreads())
-			p.OpCounts[wi.Op]++
-			if wi.Spill {
-				p.SpillInstructions++
-			}
+			p.ThreadInstructions += int64(r.Threads)
+			p.OpCounts[r.Op]++
+			p.SpillInstructions += r.Tally.Spills()
+			p.MRFReads += r.Tally.Reads(isa.SpaceMRF)
+			p.ORFReads += r.Tally.Reads(isa.SpaceORF)
+			p.LRFReads += r.Tally.Reads(isa.SpaceLRF)
+			p.MRFWrites += r.Tally.Writes(isa.SpaceMRF)
+			p.ORFWrites += r.Tally.Writes(isa.SpaceORF)
+			p.LRFWrites += r.Tally.Writes(isa.SpaceLRF)
 			for _, s := range wi.Srcs {
-				if !s.Valid() {
-					continue
-				}
-				regs[s.Reg] = true
-				switch s.Space {
-				case isa.SpaceMRF:
-					p.MRFReads++
-				case isa.SpaceORF:
-					p.ORFReads++
-				case isa.SpaceLRF:
-					p.LRFReads++
+				if s.Valid() {
+					regs[s.Reg] = true
 				}
 			}
 			if wi.Dst.Valid() {
 				regs[wi.Dst.Reg] = true
-				switch wi.Dst.Space {
-				case isa.SpaceMRF:
-					p.MRFWrites++
-				case isa.SpaceORF:
-					p.ORFWrites++
-				case isa.SpaceLRF:
-					p.LRFWrites++
-				}
-				if wi.DstMRFWrite && wi.Dst.Space != isa.SpaceMRF {
-					p.MRFWrites++
-				}
 			}
 			if wi.Addrs == nil {
 				continue
@@ -137,16 +130,10 @@ func Analyze(t *Trace) *Profile {
 				}
 				continue
 			}
-			// Global access: dedupe lines within the instruction.
-			seen := map[uint32]bool{}
-			for l := 0; l < isa.WarpSize; l++ {
-				if wi.Mask&(1<<uint(l)) == 0 {
-					continue
-				}
-				line := wi.Addrs[l] / 128
-				if !seen[line] {
-					seen[line] = true
-					stream = append(stream, lineAccess{line})
+			if wi.Op.IsGlobal() {
+				lines = memsys.Coalesce(lines[:0], wi)
+				for _, l := range lines {
+					stream = append(stream, l>>memsys.SectorBits)
 				}
 			}
 		}
@@ -166,8 +153,8 @@ func Analyze(t *Trace) *Profile {
 		if globalOps > 0 {
 			p.AvgLinesPerAccess = float64(len(stream)) / float64(globalOps)
 		}
-		for i, acc := range stream {
-			if j, ok := last[acc.line]; ok {
+		for i, line := range stream {
+			if j, ok := last[line]; ok {
 				// Distinct lines touched in (j, i) = number of stream
 				// positions in that window that were a line's most
 				// recent access.
@@ -182,7 +169,7 @@ func Analyze(t *Trace) *Profile {
 				p.ReuseHistogram[bucket]++
 				ft.add(j+1, -1)
 			}
-			last[acc.line] = i
+			last[line] = i
 			ft.add(i+1, 1)
 		}
 		p.GlobalFootprintLines = len(last)

@@ -16,24 +16,23 @@
 // sharing one backing array across concurrently simulated SMs is safe;
 // a -race fan-out test and the golden-table suite pin that down.
 //
-// Alongside each warp trace the cache memoizes the banks.Outcome of
-// every instruction per (design, aggressive-scatter) variant: the bank
-// conflict outcome is a pure function of the instruction and the design,
-// so unprobed timing runs can replay it as a table lookup instead of
-// re-evaluating the conflict model per issue. Probed runs keep calling
-// banks.Evaluate (the heatmap needs the model's scratch state); a
-// differential test asserts lookup and evaluation never disagree.
-//
-// The cache also memoizes each warp's coalesced global-memory lines
+// Alongside each warp trace the cache memoizes the three trace-static
+// tables every simulated warp carries (Source implements
+// dispatch.MemoSource): the banks.Outcome of every instruction per
+// (design, aggressive-scatter) variant, a pure function of the
+// instruction and the design; the coalesced global-memory lines
 // (memsys.Lines: every LDG, STG, and TEX instruction's distinct cache
 // lines and touched-sector masks), which likewise depend only on the
-// addresses, and each warp's issue records (isa.Issue: the source and
+// addresses; and the issue records (isa.Issue: the source and
 // destination registers, op, active-thread count, and packed
 // register-access tally the scheduler's readiness check and the issue
-// charge read). The timing core then walks the precomputed lines
-// instead of re-coalescing 32 addresses per global access, and reads one
-// 8-byte record per visit instead of the 24-byte instruction, leaving
-// only timing-dependent work in the cycle loop. The three memos are
+// charge read). The dispatcher would otherwise build each table once
+// per warp launch; with the cache it builds each once per process. The
+// timing core replays outcomes as a table lookup, walks the precomputed
+// lines instead of re-coalescing 32 addresses per global access, and
+// reads one 8-byte record per visit instead of the 24-byte instruction,
+// leaving only timing-dependent work in the cycle loop; a differential
+// test asserts the memos equal a fresh evaluation. The three memos are
 // compact next to the instructions themselves (24 bytes each, plus 128
 // per address vector): a 4-byte Outcome per instruction and variant, 4
 // bytes per instruction plus 4 per line, and an 8-byte record per
